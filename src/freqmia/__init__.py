@@ -34,7 +34,6 @@ from .datasets import (
 from .denoiser import (
     ToyDenoiser,
     TrainingConfig,
-    evaluate_mean_loss,
     load_denoiser,
     save_denoiser,
     timestep_embedding,
@@ -43,14 +42,10 @@ from .denoiser import (
 from .diffusion import (
     NoiseSchedule,
     ddim_denoise_chain,
-    ddim_denoise_step,
     ddim_reverse_chain,
-    ddim_reverse_step,
-    ddpm_denoise_step,
     linear_schedule,
     predict_x0,
     q_sample,
-    simple_loss,
 )
 from .errors import (
     ConfigurationError,
@@ -87,7 +82,6 @@ from .spectral import (
     forward_dft,
     high_frequency_content,
     inverse_dft,
-    radial_distance,
     radial_grid,
 )
 

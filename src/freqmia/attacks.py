@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, ddim_denoise_chain, ddim_reverse_chain, q_sample
-from .errors import ConfigurationError, ContractViolation
+from .diffusion import NoiseSchedule, ddim_denoise_chain, ddim_reverse_chain, predict_x0, q_sample
+from .errors import ConfigurationError, ContractViolation, IngestionError
 from .seeding import derive_rng, derive_seed
 from .spectral import FilterSpec, apply_filter, high_frequency_content
 
@@ -123,11 +123,6 @@ def paradigm_score(pair: ScorePair, q: int = 2, filt: Optional[FilterSpec] = Non
     return float(np.sqrt(np.sum(diff**2)))
 
 
-def _to_image_space(x_t, eps, t: int, sched: NoiseSchedule) -> np.ndarray:
-    abar = sched.alpha_bar[t]
-    return (x_t - np.sqrt(1.0 - abar) * eps) / np.sqrt(abar)
-
-
 def naive_pair(x0, t: int, denoiser, sched: NoiseSchedule, seed: int) -> ScorePair:
     """Sampled-noise prediction error mapped to image space.
 
@@ -137,8 +132,8 @@ def naive_pair(x0, t: int, denoiser, sched: NoiseSchedule, seed: int) -> ScorePa
     x0 = np.asarray(x0, dtype=np.float64)
     eps = derive_rng(seed, "naive-eps").standard_normal(x0.shape)
     x_t = q_sample(x0, t, eps, sched)
-    target = _to_image_space(x_t, eps, t, sched)
-    predicted = _to_image_space(x_t, np.asarray(denoiser(x_t, int(t)), dtype=np.float64), t, sched)
+    target = predict_x0(x_t, eps, t, sched)
+    predicted = predict_x0(x_t, denoiser(x_t, int(t)), t, sched)
     return ScorePair(predicted=predicted, target=target)
 
 
@@ -148,8 +143,8 @@ def pia_pair(x0, t: int, denoiser, sched: NoiseSchedule) -> ScorePair:
     x0 = np.asarray(x0, dtype=np.float64)
     eps0 = np.asarray(denoiser(x0, 0), dtype=np.float64)
     x_t = q_sample(x0, t, eps0, sched)
-    target = _to_image_space(x_t, eps0, t, sched)
-    predicted = _to_image_space(x_t, np.asarray(denoiser(x_t, int(t)), dtype=np.float64), t, sched)
+    target = predict_x0(x_t, eps0, t, sched)
+    predicted = predict_x0(x_t, denoiser(x_t, int(t)), t, sched)
     return ScorePair(predicted=predicted, target=target)
 
 
@@ -198,32 +193,45 @@ def run_attack(samples, config: AttackConfig, denoiser, sched: NoiseSchedule,
     return records
 
 
+_COLUMNS = ["sample_id", "membership", "score_raw", "score_filtered", "hf_content"]
+
+
 def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else f"{x:.12g}"
+    return "" if x is None else repr(float(x))
 
 
 def write_score_csv(records, path) -> None:
-    """Scores as CSV with 12 significant digits and LF line endings."""
+    """Scores as CSV with LF line endings. Floats are written with
+    ``repr``, so :func:`read_score_csv` gets back the exact values."""
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "membership", "score_raw", "score_filtered", "hf_content"])
+        writer.writerow(_COLUMNS)
         for rec in records:
             writer.writerow([rec.sample_id, rec.membership, _fmt(rec.score_raw),
                              _fmt(rec.score_filtered), _fmt(rec.hf_content)])
 
 
 def read_score_csv(path) -> list[ScoreRecord]:
-    """Inverse of :func:`write_score_csv`."""
+    """Inverse of :func:`write_score_csv`. A missing column, a cell that
+    does not parse or a file without rows raises :class:`IngestionError`
+    naming the file."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in _COLUMNS if c not in header]
+        if missing:
+            raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")
+        columns = [header.index(c) for c in _COLUMNS]
         for row in reader:
-            filtered = row["score_filtered"]
-            records.append(ScoreRecord(
-                sample_id=row["sample_id"],
-                membership=int(row["membership"]),
-                score_raw=float(row["score_raw"]),
-                score_filtered=float(filtered) if filtered else None,
-                hf_content=float(row["hf_content"]),
-            ))
+            if not row:
+                continue
+            try:
+                sample_id, membership, raw, filtered, hf = (row[i] for i in columns)
+                records.append(ScoreRecord(sample_id, int(membership), float(raw),
+                                           float(filtered) if filtered else None, float(hf)))
+            except (IndexError, ValueError) as exc:
+                raise IngestionError(f"{path}, line {reader.line_num}: {exc}") from exc
+    if not records:
+        raise IngestionError(f"{path}: no score rows")
     return records

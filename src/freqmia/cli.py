@@ -5,13 +5,18 @@ Subcommands::
     gen-data      synthesize a dataset and export it as PGM + manifest
     train         train the toy denoiser on the member split
     attack        score a dataset against a trained model
-    eval          recompute metrics from score CSVs
+    eval          metrics, ROC curves and the report from score CSVs
     verify-prop   constraint check + Monte-Carlo filter-improvement verifier
     run           full pipeline (train -> attack -> eval -> report)
     report        re-render JSON metrics as text tables
 
-Exit codes: 0 success, 1 configuration error (including bad flags and
-missing config files), 2 runtime failure.
+``train``, ``attack``, ``eval`` and ``run`` compose the stage functions of
+:mod:`freqmia.experiment`, so the staged commands write the same bytes as
+``run``.
+
+Exit codes: 0 success, 1 configuration or input error (including bad
+flags, missing config files and malformed input files), 2 failure of a
+pipeline stage.
 """
 
 import argparse
@@ -20,23 +25,21 @@ import json
 import sys
 from pathlib import Path
 
-from .attacks import read_score_csv, run_attack, write_score_csv
+from .attacks import read_score_csv
 from .datasets import export_pgm_dir, generate_dataset
-from .denoiser import load_denoiser, save_denoiser, train_toy_denoiser
-from .diffusion import linear_schedule
-from .errors import ConfigurationError, ExperimentError, FreqMiaError, IngestionError
-from .evaluation import (
-    PropositionInputs,
-    proposition_mc_verify,
-    write_metrics_json,
-    write_roc_csv,
-)
+from .denoiser import load_denoiser
+from .errors import ConfigurationError, FreqMiaError, IngestionError
+from .evaluation import PropositionInputs, proposition_mc_verify
 from .experiment import (
     ExperimentConfig,
-    _write_comparison,
+    Pipeline,
+    attack_stage,
     default_config,
-    evaluate_records,
+    evaluate_stage,
+    load_inputs,
+    report_stage,
     run_experiment,
+    train_stage,
 )
 
 
@@ -90,20 +93,9 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    samples = generate_dataset(config.dataset_spec())
-    members = [s.image for s in samples if s.membership == 1]
-    sched = linear_schedule(config.timesteps, config.beta_start, config.beta_end)
-    denoiser, trace = train_toy_denoiser(
-        members, config.training_config(), sched,
-        hidden_sizes=config.hidden_sizes, emb_dim=config.embedding_dim,
-    )
-    save_denoiser(denoiser, out / "model.fmia")
-    with open(out / "train_loss.csv", "w", newline="\n") as fh:
-        fh.write("epoch,loss\n")
-        for i, loss in enumerate(trace):
-            fh.write(f"{i},{loss:.12g}\n")
+    pipe = Pipeline(config)
+    samples, sched = load_inputs(config)
+    denoiser, trace = train_stage(pipe, samples, sched)
     final = f"{trace[-1]:.6g}" if trace else "n/a"
     print(f"trained {denoiser.num_parameters} parameters, final loss {final}")
     return 0
@@ -111,40 +103,30 @@ def _cmd_train(args) -> int:
 
 def _cmd_attack(args) -> int:
     config = _load_config(args)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    model_path = Path(args.model) if args.model else out / "model.fmia"
+    model_path = Path(args.model) if args.model else Path(config.out_dir) / "model.fmia"
     if not model_path.is_file():
         raise ConfigurationError(f"model file not found: {model_path}")
     denoiser = load_denoiser(model_path)
-    samples = generate_dataset(config.dataset_spec())
-    sched = linear_schedule(config.timesteps, config.beta_start, config.beta_end)
+    pipe = Pipeline(config)
+    samples, sched = load_inputs(config)
     for attack_cfg in config.attack_configs():
-        records = run_attack(samples, attack_cfg, denoiser, sched,
-                             hf_boundary_radius=config.boundary_radius)
-        write_score_csv(records, out / f"scores_{attack_cfg.kind}.csv")
+        records = attack_stage(pipe, attack_cfg, samples, denoiser, sched)
         print(f"scored {len(records)} samples with {attack_cfg.kind}")
     return 0
 
 
 def _cmd_eval(args) -> int:
     config = _load_config(args)
-    out = Path(config.out_dir)
-    rows = []
+    scores = {}
     for kind in config.attack_kinds:
-        score_path = out / f"scores_{kind}.csv"
+        score_path = Path(config.out_dir) / f"scores_{kind}.csv"
         if not score_path.is_file():
             raise ConfigurationError(f"score file not found: {score_path}")
-        records = read_score_csv(score_path)
-        evaluated = evaluate_records(records)
-        for variant, data in evaluated.items():
-            write_metrics_json(data["metrics"], out / f"metrics_{kind}_{variant}.json")
-            write_roc_csv(data["curve"], out / f"roc_{kind}_{variant}.csv")
-        if "filtered" in evaluated:
-            rows.append((kind, evaluated["raw"]["metrics"], evaluated["filtered"]["metrics"]))
-        print(f"evaluated {kind}")
-    if rows:
-        _write_comparison(out / "comparison.csv", rows)
+        scores[kind] = read_score_csv(score_path)
+    pipe = Pipeline(config)
+    evaluated = {kind: evaluate_stage(pipe, kind, records) for kind, records in scores.items()}
+    report_stage(pipe, evaluated)
+    print(f"evaluated {', '.join(evaluated)}")
     return 0
 
 
@@ -242,9 +224,6 @@ def main(argv=None) -> int:
     except (ConfigurationError, IngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FreqMiaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

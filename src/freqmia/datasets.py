@@ -140,7 +140,11 @@ def generate_dataset(spec: DatasetSpec) -> list[LabeledSample]:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Parse a binary 8-bit PGM (P5) file into a (1, H, W) image in [-1, 1]."""
+    """Parse a binary 8-bit PGM (P5) file into a (1, H, W) image in [-1, 1].
+
+    A pixel p maps to 2 p / maxval - 1, so 0 reads as -1 and maxval as +1;
+    a pixel above maxval raises :class:`IngestionError`.
+    """
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -168,7 +172,9 @@ def read_pgm(path) -> np.ndarray:
     if len(data) != width * height:
         raise IngestionError(f"{path}: raster has {len(data)} bytes, expected {width * height}")
     pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
-    return pixels.astype(np.float64)[None, :, :] / 127.5 - 1.0
+    if pixels.max(initial=0) > maxval:
+        raise IngestionError(f"{path}: pixel value {pixels.max()} exceeds maxval {maxval}")
+    return 2.0 * pixels.astype(np.float64)[None, :, :] / maxval - 1.0
 
 
 def write_pgm(path, image: np.ndarray) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import NoiseSchedule
-from .errors import ConfigurationError, ContractViolation, TrainingError
+from .errors import ConfigurationError, ContractViolation, IngestionError, TrainingError
 from .seeding import derive_rng
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "timestep_embedding",
     "batch_loss_and_grads",
     "train_toy_denoiser",
-    "evaluate_mean_loss",
     "save_denoiser",
     "load_denoiser",
 ]
@@ -151,9 +150,9 @@ class ToyDenoiser:
 def batch_loss_and_grads(den: ToyDenoiser, x0_batch, t_batch, eps_batch, sched: NoiseSchedule):
     """MSE loss on a noised batch and its gradients w.r.t. every parameter.
 
-    Returns (loss, weight_grads, bias_grads). The loss averages over all
-    elements of the batch, matching :func:`freqmia.diffusion.simple_loss`
-    per sample.
+    Returns (loss, weight_grads, bias_grads). The loss is the mean squared
+    error between the drawn and the predicted noise over all elements of
+    the batch.
     """
     x0 = np.asarray(x0_batch, dtype=np.float64).reshape(len(x0_batch), -1)
     eps = np.asarray(eps_batch, dtype=np.float64).reshape(len(eps_batch), -1)
@@ -218,25 +217,6 @@ def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
     return den, trace
 
 
-def evaluate_mean_loss(den, images, sched: NoiseSchedule, timesteps, seed: int) -> float:
-    """Mean denoising MSE over images at the given timesteps with seeded noise.
-
-    The noise draw for (image i, timestep t) depends only on the seed and
-    the pair, so member and hold-out sets are compared at matched
-    conditions.
-    """
-    images = np.asarray(images, dtype=np.float64)
-    losses = []
-    for i, x0 in enumerate(images):
-        for t in timesteps:
-            eps_rng = derive_rng(seed, "eval-eps", str(i), str(int(t)))
-            eps = eps_rng.standard_normal(x0.shape)
-            x_t = np.sqrt(sched.alpha_bar[t]) * x0 + np.sqrt(1.0 - sched.alpha_bar[t]) * eps
-            pred = den(x_t, int(t))
-            losses.append(np.mean((pred - eps) ** 2))
-    return float(np.mean(losses))
-
-
 def save_denoiser(den: ToyDenoiser, path) -> None:
     """Write the model in the flat FMIA v1 binary format."""
     sizes = den.layer_sizes
@@ -253,17 +233,28 @@ def save_denoiser(den: ToyDenoiser, path) -> None:
 
 
 def load_denoiser(path) -> ToyDenoiser:
-    """Read a model written by :func:`save_denoiser`."""
+    """Read a model written by :func:`save_denoiser`.
+
+    A file that is not FMIA v1 raises :class:`ConfigurationError`; one whose
+    length does not match its header raises :class:`IngestionError`.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ConfigurationError(f"{path}: not an FMIA weight file")
+    offset = 4 + 7 * 4
+    if len(blob) < offset:
+        raise IngestionError(f"{path}: truncated FMIA header ({len(blob)} bytes)")
     version, T, c, h, w, emb_dim, n_sizes = struct.unpack_from("<7I", blob, 4)
     if version != _FORMAT_VERSION:
         raise ConfigurationError(f"{path}: unsupported format version {version}")
-    offset = 4 + 7 * 4
+    if len(blob) < offset + 4 * n_sizes:
+        raise IngestionError(f"{path}: truncated FMIA header ({len(blob)} bytes)")
     sizes = struct.unpack_from(f"<{n_sizes}I", blob, offset)
     offset += n_sizes * 4
+    expected = offset + 8 * sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    if len(blob) != expected:
+        raise IngestionError(f"{path}: {len(blob)} bytes, the header implies {expected}")
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weight = np.frombuffer(blob, dtype="<f8", count=fan_out * fan_in, offset=offset)

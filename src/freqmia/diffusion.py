@@ -4,9 +4,10 @@ A denoiser is any callable ``eps_hat = denoiser(x_t, t)`` mapping a noised
 image and an integer timestep to a noise prediction of the same shape.
 Timesteps index the schedule arrays directly: ``0 <= t < T``.
 
-All stepping here is the eta = 0 (deterministic) variant; the stochastic
-ancestral step is provided as :func:`ddpm_denoise_step` for sampling
-experiments only and is not used by any attack.
+All stepping here is the eta = 0 (deterministic) variant, composed into
+strided chains; a chain with ``stride=1`` takes single steps.
+:func:`predict_x0` is the one place that maps a noise estimate back to
+image space.
 """
 
 from dataclasses import dataclass
@@ -19,13 +20,9 @@ __all__ = [
     "NoiseSchedule",
     "linear_schedule",
     "q_sample",
-    "simple_loss",
     "predict_x0",
-    "ddim_denoise_step",
-    "ddim_reverse_step",
     "ddim_reverse_chain",
     "ddim_denoise_chain",
-    "ddpm_denoise_step",
 ]
 
 
@@ -96,16 +93,6 @@ def q_sample(x0, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 
 
-def simple_loss(denoiser, x0, t: int, eps, sched: NoiseSchedule) -> float:
-    """Mean squared error between eps and the denoiser's prediction at t."""
-    x_t = q_sample(x0, t, eps, sched)
-    eps_hat = np.asarray(denoiser(x_t, int(t)), dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps_hat.shape != eps.shape:
-        raise ContractViolation(f"denoiser output shape {eps_hat.shape} != eps shape {eps.shape}")
-    return float(np.mean((eps - eps_hat) ** 2))
-
-
 def predict_x0(x_t, eps_hat, t: int, sched: NoiseSchedule) -> np.ndarray:
     """Invert q_sample given a noise estimate: (x_t - sqrt(1-abar_t) eps) / sqrt(abar_t)."""
     t = _check_t(t, sched)
@@ -121,22 +108,9 @@ def _ddim_step(x, t_src: int, t_dst: int, denoiser, sched: NoiseSchedule) -> np.
     eps_hat = np.asarray(denoiser(x, int(t_src)), dtype=np.float64)
     if eps_hat.shape != x.shape:
         raise ContractViolation(f"denoiser output shape {eps_hat.shape} != state shape {x.shape}")
-    abar_src = sched.alpha_bar[t_src]
     abar_dst = sched.alpha_bar[t_dst]
-    x0_hat = (x - np.sqrt(1.0 - abar_src) * eps_hat) / np.sqrt(abar_src)
+    x0_hat = predict_x0(x, eps_hat, t_src, sched)
     return np.sqrt(abar_dst) * x0_hat + np.sqrt(1.0 - abar_dst) * eps_hat
-
-
-def ddim_denoise_step(x_t, t: int, denoiser, sched: NoiseSchedule) -> np.ndarray:
-    """Deterministic denoise step t -> t-1 (psi)."""
-    t = _check_t(t, sched, lo=1)
-    return _ddim_step(x_t, t, t - 1, denoiser, sched)
-
-
-def ddim_reverse_step(x_t, t: int, denoiser, sched: NoiseSchedule) -> np.ndarray:
-    """Deterministic inversion step t -> t+1 (phi)."""
-    t = _check_t(t, sched, hi=sched.T - 2)
-    return _ddim_step(x_t, t, t + 1, denoiser, sched)
 
 
 def _ladder(s: int, t: int, stride: int, sched: NoiseSchedule) -> list[int]:
@@ -165,16 +139,3 @@ def ddim_denoise_chain(x_t, t: int, s: int, denoiser, sched: NoiseSchedule, stri
     for src, dst in zip(rungs[::-1][:-1], rungs[::-1][1:]):
         x = _ddim_step(x, src, dst, denoiser, sched)
     return x
-
-
-def ddpm_denoise_step(x_t, t: int, denoiser, sched: NoiseSchedule, rng: np.random.Generator) -> np.ndarray:
-    """Stochastic ancestral step t -> t-1 with sigma_t = sqrt(beta_t).
-
-    Sampling utility only; attacks use the deterministic steps above.
-    """
-    t = _check_t(t, sched, lo=1)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = np.asarray(denoiser(x_t, int(t)), dtype=np.float64)
-    alpha, abar, beta = sched.alpha[t], sched.alpha_bar[t], sched.beta[t]
-    mean = (x_t - (1.0 - alpha) / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(alpha)
-    return mean + np.sqrt(beta) * rng.standard_normal(x_t.shape)

@@ -18,7 +18,8 @@ class TrainingError(FreqMiaError):
 
 
 class IngestionError(FreqMiaError):
-    """A dataset file or manifest entry could not be ingested."""
+    """An input file (dataset image, manifest entry, weight file or score
+    CSV) is malformed (CLI exit code 1)."""
 
 
 class EvaluationError(FreqMiaError):

@@ -175,7 +175,10 @@ def ks_normality_test(scores, mean: Optional[float] = None, std: Optional[float]
 
     When mean/std are not supplied they are estimated from the sample
     (n-1 denominator). The p-value comes from the asymptotic Kolmogorov
-    distribution at sqrt(n) * D; the alpha = 0.05 decision is reported
+    distribution at sqrt(n) * D, which assumes a fully specified null.
+    With the mean and sd estimated from the same sample it is
+    conservative: the p-value is too large and normality is rejected too
+    rarely (Lilliefors 1967). The alpha = 0.05 decision is reported
     alongside.
     """
     x = np.sort(np.asarray(scores, dtype=np.float64))

@@ -6,32 +6,38 @@ each attack are derived from the single global seed. Running the same
 config twice produces byte-identical outputs.
 
 Config files are flat key-value text with one section per module
-(INI syntax, parsed by :mod:`configparser`); see ``default_config`` for
-the schema and the README for documentation. A config round-trips through
-its file form losslessly.
+(INI syntax, parsed by :mod:`configparser`). The schema is the dataclass:
+each field's metadata names its section, its key and its parser. A config
+round-trips through its file form losslessly, and an unknown section or
+key is rejected.
 
-Output files, all with LF line endings and '.' decimals:
+The pipeline is four stages, each a function here that ``run`` and the
+staged CLI commands share:
 
-* ``scores_<attack>.csv``        per-sample scores (raw and filtered)
-* ``metrics_<attack>_raw.json``  metrics of the unfiltered scores
-* ``metrics_<attack>_filtered.json``
-* ``roc_<attack>_raw.csv`` / ``roc_<attack>_filtered.csv``
-* ``train_loss.csv``             per-epoch training loss trace
-* ``model.fmia``                 trained denoiser weights
-* ``failed_hf.json``             misclassified-sample frequency analysis
-* ``comparison.csv``             raw vs filtered deltas with an avg row
-* ``experiment.json``            combined report
+* :func:`train_stage`     ``model.fmia``, ``train_loss.csv``
+* :func:`attack_stage`    ``scores_<attack>.csv``
+* :func:`evaluate_stage`  ``metrics_<attack>_<raw|filtered>.json``,
+  ``roc_<attack>_<raw|filtered>.csv``
+* :func:`report_stage`    ``failed_hf.json``, ``comparison.csv``,
+  ``experiment.json``
 
-If any stage fails, whatever was already produced moves under
-``<out>/partial/`` and an :class:`ExperimentError` naming the stage is
-raised.
+All text outputs use LF line endings and '.' decimals. The files a later
+stage reads back (scores and the loss trace) hold ``repr`` floats, so a
+staged run evaluates exactly the values ``run`` holds in memory and writes
+the same bytes.
+
+Inputs (dataset, schedule, model file, score CSVs) are loaded before any
+stage, so a bad input raises its own error. If a stage fails, whatever the
+pipeline already wrote moves under ``<out>/partial/`` and an
+:class:`ExperimentError` naming the stage is raised.
 """
 
 import configparser
 import csv
 import json
 import shutil
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .attacks import AttackConfig, run_attack, write_score_csv
@@ -50,46 +56,74 @@ from .evaluation import (
 from .seeding import derive_seed
 from .spectral import FilterSpec
 
-__all__ = ["ExperimentConfig", "default_config", "run_experiment", "evaluate_records"]
+__all__ = [
+    "ExperimentConfig",
+    "Pipeline",
+    "default_config",
+    "load_inputs",
+    "train_stage",
+    "attack_stage",
+    "evaluate_stage",
+    "report_stage",
+    "run_experiment",
+    "evaluate_records",
+]
 
 METRIC_KEYS = ("asr", "auc", "tpr_at_1pct_fpr")
+
+
+def _ini(section, default, parse=None, key=None):
+    """A config field kept under ``key`` (default: the field name) in
+    ``[section]`` and read back with ``parse`` (default: the default's type)."""
+    return field(default=default,
+                  metadata={"section": section, "key": key, "parse": parse or type(default)})
+
+
+def _ints(text):
+    return tuple(int(v) for v in text.split(",") if v)
+
+
+def _names(text):
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _schema(cls):
+    """(field, section, key) for every config field, in file order."""
+    return [(f, f.metadata["section"], f.metadata["key"] or f.name) for f in fields(cls)]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one experiment."""
 
-    seed: int = 0
-    out_dir: str = "out"
-    boundary_radius: float = 2.0
-    # dataset
-    dataset_kind: str = "sharpened"
-    size: int = 16
-    gamma_min: float = 1.5
-    gamma_max: float = 3.0
-    n_member: int = 200
-    n_holdout: int = 200
-    dataset_path: str | None = None
-    # schedule
-    timesteps: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
+    seed: int = _ini("experiment", 0)
+    out_dir: str = _ini("experiment", "out")
+    boundary_radius: float = _ini("experiment", 2.0)
+    dataset_kind: str = _ini("dataset", "sharpened", key="kind")
+    size: int = _ini("dataset", 16)
+    gamma_min: float = _ini("dataset", 1.5)
+    gamma_max: float = _ini("dataset", 3.0)
+    n_member: int = _ini("dataset", 200)
+    n_holdout: int = _ini("dataset", 200)
+    dataset_path: str | None = _ini("dataset", None, parse=str, key="path")
+    timesteps: int = _ini("schedule", 1000)
+    beta_start: float = _ini("schedule", 1e-4)
+    beta_end: float = _ini("schedule", 0.02)
     # training (overfits the 200-image member set by design)
-    epochs: int = 5000
-    batch_size: int = 32
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    hidden_sizes: tuple = (256,)
-    embedding_dim: int = 16
-    # attacks
-    attack_kinds: tuple = ("naive", "pia", "secmi")
-    q: int = 2
-    filter_s: float = 0.2
-    filter_rt: float = 5.0
-    naive_t: int = 200
-    pia_t: int = 200
-    secmi_t: int = 100
-    secmi_stride: int = 10
+    epochs: int = _ini("training", 5000)
+    batch_size: int = _ini("training", 32)
+    learning_rate: float = _ini("training", 0.01)
+    momentum: float = _ini("training", 0.9)
+    hidden_sizes: tuple = _ini("training", (256,), parse=_ints)
+    embedding_dim: int = _ini("training", 16)
+    attack_kinds: tuple = _ini("attacks", ("naive", "pia", "secmi"), parse=_names, key="kinds")
+    q: int = _ini("attacks", 2)
+    filter_s: float = _ini("attacks", 0.2)
+    filter_rt: float = _ini("attacks", 5.0)
+    naive_t: int = _ini("attacks", 200)
+    pia_t: int = _ini("attacks", 200)
+    secmi_t: int = _ini("attacks", 100)
+    secmi_stride: int = _ini("attacks", 10)
 
     def dataset_spec(self) -> DatasetSpec:
         return DatasetSpec(
@@ -129,100 +163,46 @@ class ExperimentConfig:
         ]
 
     def to_file(self, path) -> None:
-        parser = configparser.ConfigParser()
-        parser["experiment"] = {
-            "seed": str(self.seed),
-            "out_dir": self.out_dir,
-            "boundary_radius": repr(self.boundary_radius),
-        }
-        parser["dataset"] = {
-            "kind": self.dataset_kind,
-            "size": str(self.size),
-            "gamma_min": repr(self.gamma_min),
-            "gamma_max": repr(self.gamma_max),
-            "n_member": str(self.n_member),
-            "n_holdout": str(self.n_holdout),
-        }
-        if self.dataset_path is not None:
-            parser["dataset"]["path"] = self.dataset_path
-        parser["schedule"] = {
-            "timesteps": str(self.timesteps),
-            "beta_start": repr(self.beta_start),
-            "beta_end": repr(self.beta_end),
-        }
-        parser["training"] = {
-            "epochs": str(self.epochs),
-            "batch_size": str(self.batch_size),
-            "learning_rate": repr(self.learning_rate),
-            "momentum": repr(self.momentum),
-            "hidden_sizes": ",".join(str(s) for s in self.hidden_sizes),
-            "embedding_dim": str(self.embedding_dim),
-        }
-        parser["attacks"] = {
-            "kinds": ",".join(self.attack_kinds),
-            "q": str(self.q),
-            "filter_s": repr(self.filter_s),
-            "filter_rt": repr(self.filter_rt),
-            "naive_t": str(self.naive_t),
-            "pia_t": str(self.pia_t),
-            "secmi_t": str(self.secmi_t),
-            "secmi_stride": str(self.secmi_stride),
-        }
+        parser = configparser.ConfigParser(interpolation=None)
+        for f, section, key in _schema(type(self)):
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser[section][key] = (",".join(map(str, value)) if isinstance(value, tuple)
+                                    else str(value))
         with open(path, "w", newline="\n") as fh:
             parser.write(fh)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        """Read a config file; keys it omits keep their defaults."""
         path = Path(path)
         if not path.is_file():
             raise ConfigurationError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read(path)
         except configparser.Error as exc:
             raise ConfigurationError(f"{path}: {exc}") from exc
-
-        def get(section, key, cast, default):
-            if parser.has_option(section, key):
+        schema = {(section, key): f for f, section, key in _schema(cls)}
+        sections = {section for section, _ in schema}
+        if parser.defaults():
+            raise ConfigurationError(f"{path}: unknown section [{parser.default_section}]")
+        values = {}
+        for section in parser.sections():
+            if section not in sections:
+                raise ConfigurationError(f"{path}: unknown section [{section}]")
+            for key, text in parser.items(section):
+                f = schema.get((section, key))
+                if f is None:
+                    raise ConfigurationError(f"{path}: unknown key {key!r} in [{section}]")
                 try:
-                    return cast(parser.get(section, key))
+                    values[f.name] = f.metadata["parse"](text)
                 except ValueError as exc:
                     raise ConfigurationError(f"{path}: [{section}] {key}: {exc}") from exc
-            return default
-
-        base = cls()
-        return cls(
-            seed=get("experiment", "seed", int, base.seed),
-            out_dir=get("experiment", "out_dir", str, base.out_dir),
-            boundary_radius=get("experiment", "boundary_radius", float, base.boundary_radius),
-            dataset_kind=get("dataset", "kind", str, base.dataset_kind),
-            size=get("dataset", "size", int, base.size),
-            gamma_min=get("dataset", "gamma_min", float, base.gamma_min),
-            gamma_max=get("dataset", "gamma_max", float, base.gamma_max),
-            n_member=get("dataset", "n_member", int, base.n_member),
-            n_holdout=get("dataset", "n_holdout", int, base.n_holdout),
-            dataset_path=get("dataset", "path", str, base.dataset_path),
-            timesteps=get("schedule", "timesteps", int, base.timesteps),
-            beta_start=get("schedule", "beta_start", float, base.beta_start),
-            beta_end=get("schedule", "beta_end", float, base.beta_end),
-            epochs=get("training", "epochs", int, base.epochs),
-            batch_size=get("training", "batch_size", int, base.batch_size),
-            learning_rate=get("training", "learning_rate", float, base.learning_rate),
-            momentum=get("training", "momentum", float, base.momentum),
-            hidden_sizes=get("training", "hidden_sizes",
-                             lambda s: tuple(int(v) for v in s.split(",") if v), base.hidden_sizes),
-            embedding_dim=get("training", "embedding_dim", int, base.embedding_dim),
-            attack_kinds=get("attacks", "kinds",
-                             lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
-                             base.attack_kinds),
-            q=get("attacks", "q", int, base.q),
-            filter_s=get("attacks", "filter_s", float, base.filter_s),
-            filter_rt=get("attacks", "filter_rt", float, base.filter_rt),
-            naive_t=get("attacks", "naive_t", int, base.naive_t),
-            pia_t=get("attacks", "pia_t", int, base.pia_t),
-            secmi_t=get("attacks", "secmi_t", int, base.secmi_t),
-            secmi_stride=get("attacks", "secmi_stride", int, base.secmi_stride),
-        )
+        return cls(**values)
 
 
 def default_config(seed: int = 0, out_dir: str = "out") -> ExperimentConfig:
@@ -274,91 +254,151 @@ def _write_comparison(path, rows) -> None:
         writer.writerow(avg)
 
 
+class Pipeline:
+    """The output directory of one command and the files its stages wrote.
+
+    Each stage runs inside :meth:`stage`. When one fails, every file this
+    pipeline wrote moves under ``<out>/partial/`` and an
+    :class:`ExperimentError` names the stage.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        if not config.attack_kinds:
+            raise ConfigurationError("experiment needs at least one attack")
+        self.config = config
+        self.out = Path(config.out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.written: list[Path] = []
+
+    def emit(self, name: str, writer) -> None:
+        target = self.out / name
+        writer(target)
+        self.written.append(target)
+
+    @contextmanager
+    def stage(self, name: str):
+        try:
+            yield
+        except Exception as exc:
+            partial = self.out / "partial"
+            partial.mkdir(exist_ok=True)
+            for produced in self.written:
+                if produced.exists():
+                    shutil.move(str(produced), str(partial / produced.name))
+            raise ExperimentError(name, str(exc)) from exc
+
+
+def load_inputs(config: ExperimentConfig):
+    """The labeled samples and the noise schedule every stage works on."""
+    samples = generate_dataset(config.dataset_spec())
+    if len({s.membership for s in samples}) != 2:
+        raise ConfigurationError("dataset must contain both members and hold-outs")
+    sched = linear_schedule(config.timesteps, config.beta_start, config.beta_end)
+    return samples, sched
+
+
+def _members(samples):
+    return [s.image for s in samples if s.membership == 1]
+
+
+def _write_loss_trace(path, trace) -> None:
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["epoch", "loss"])
+        for i, loss in enumerate(trace):
+            writer.writerow([i, repr(float(loss))])
+
+
+def _final_train_loss(out: Path):
+    """Last loss of ``<out>/train_loss.csv``; None without the file or an epoch."""
+    path = out / "train_loss.csv"
+    if not path.is_file():
+        return None
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return float(rows[-1][1]) if len(rows) > 1 else None
+
+
+def train_stage(pipe: Pipeline, samples, sched):
+    """Train the denoiser on the member split; writes ``model.fmia`` and
+    ``train_loss.csv`` and returns ``(denoiser, loss_trace)``."""
+    config = pipe.config
+    with pipe.stage("train"):
+        denoiser, trace = train_toy_denoiser(
+            _members(samples), config.training_config(), sched,
+            hidden_sizes=config.hidden_sizes, emb_dim=config.embedding_dim,
+        )
+        pipe.emit("model.fmia", lambda p: save_denoiser(denoiser, p))
+        pipe.emit("train_loss.csv", lambda p: _write_loss_trace(p, trace))
+    return denoiser, trace
+
+
+def attack_stage(pipe: Pipeline, attack_cfg: AttackConfig, samples, denoiser, sched):
+    """Score every sample with one attack; writes ``scores_<kind>.csv``."""
+    with pipe.stage(f"attack:{attack_cfg.kind}"):
+        records = run_attack(samples, attack_cfg, denoiser, sched,
+                             hf_boundary_radius=pipe.config.boundary_radius)
+        pipe.emit(f"scores_{attack_cfg.kind}.csv", lambda p: write_score_csv(records, p))
+    return records
+
+
+def evaluate_stage(pipe: Pipeline, kind: str, records) -> dict:
+    """Metrics and ROC curves of one attack's records, per score column."""
+    with pipe.stage(f"eval:{kind}"):
+        evaluated = evaluate_records(records)
+        for variant, data in evaluated.items():
+            pipe.emit(f"metrics_{kind}_{variant}.json",
+                      lambda p, m=data["metrics"]: write_metrics_json(m, p))
+            pipe.emit(f"roc_{kind}_{variant}.csv",
+                      lambda p, c=data["curve"]: write_roc_csv(c, p))
+    return evaluated
+
+
+def report_stage(pipe: Pipeline, evaluated: dict) -> dict:
+    """Combine the per-attack evaluations (kind -> :func:`evaluate_records`
+    result) into ``failed_hf.json``, ``comparison.csv`` and
+    ``experiment.json``; returns the combined report."""
+    with pipe.stage("report"):
+        report = {"config": {"seed": pipe.config.seed}, "attacks": {}}
+        failed_hf = {}
+        comparison_rows = []
+        for kind, variants in evaluated.items():
+            report["attacks"][kind] = {
+                variant: {**data["metrics"].to_json_dict(), "tau": data["tau"]}
+                for variant, data in variants.items()
+            }
+            failed_hf[kind] = {variant: data["failed_hf"] for variant, data in variants.items()}
+            if "filtered" in variants:
+                comparison_rows.append(
+                    (kind, variants["raw"]["metrics"], variants["filtered"]["metrics"]))
+        pipe.emit("failed_hf.json", lambda p: Path(p).write_text(
+            json.dumps(failed_hf, indent=2) + "\n"))
+        if comparison_rows:
+            pipe.emit("comparison.csv", lambda p: _write_comparison(p, comparison_rows))
+        report["failed_hf"] = failed_hf
+        report["final_train_loss"] = _final_train_loss(pipe.out)
+        pipe.emit("experiment.json", lambda p: Path(p).write_text(
+            json.dumps(report, indent=2) + "\n"))
+    return report
+
+
 def run_experiment(config: ExperimentConfig, denoiser_factory=None) -> dict:
     """Run the full pipeline and return the combined report dictionary.
 
-    ``denoiser_factory(member_images, config, sched)`` replaces training
-    when given; it exists so tests can inject stub denoisers. No model
-    file or loss trace is written in that case.
+    Each attack is evaluated right after it scores. ``denoiser_factory(
+    member_images, config, sched)`` replaces training when given; it exists
+    so tests can inject stub denoisers. No model file or loss trace is
+    written in that case.
     """
-    if not config.attack_kinds:
-        raise ConfigurationError("experiment needs at least one attack")
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def emit(name: str, writer) -> Path:
-        target = out / name
-        writer(target)
-        written.append(target)
-        return target
-
-    stage = "dataset"
-    try:
-        samples = generate_dataset(config.dataset_spec())
-        members = [s.image for s in samples if s.membership == 1]
-        if not members or all(s.membership == 1 for s in samples):
-            raise ConfigurationError("dataset must contain both members and hold-outs")
-        sched = linear_schedule(config.timesteps, config.beta_start, config.beta_end)
-
-        stage = "train"
-        if denoiser_factory is not None:
-            denoiser, trace = denoiser_factory(members, config, sched), []
-        else:
-            denoiser, trace = train_toy_denoiser(
-                members, config.training_config(), sched,
-                hidden_sizes=config.hidden_sizes, emb_dim=config.embedding_dim,
-            )
-            emit("model.fmia", lambda p: save_denoiser(denoiser, p))
-
-            def write_trace(p):
-                with open(p, "w", newline="\n") as fh:
-                    writer = csv.writer(fh, lineterminator="\n")
-                    writer.writerow(["epoch", "loss"])
-                    for i, loss in enumerate(trace):
-                        writer.writerow([i, f"{loss:.12g}"])
-
-            emit("train_loss.csv", write_trace)
-
-        report = {"config": {"seed": config.seed}, "attacks": {}}
-        comparison_rows = []
-        failed_hf = {}
-        for attack_cfg in config.attack_configs():
-            kind = attack_cfg.kind
-            stage = f"attack:{kind}"
-            records = run_attack(samples, attack_cfg, denoiser, sched,
-                                 hf_boundary_radius=config.boundary_radius)
-            emit(f"scores_{kind}.csv", lambda p, r=records: write_score_csv(r, p))
-
-            stage = f"eval:{kind}"
-            evaluated = evaluate_records(records)
-            report["attacks"][kind] = {}
-            failed_hf[kind] = {}
-            for variant, data in evaluated.items():
-                emit(f"metrics_{kind}_{variant}.json",
-                     lambda p, m=data["metrics"]: write_metrics_json(m, p))
-                emit(f"roc_{kind}_{variant}.csv",
-                     lambda p, c=data["curve"]: write_roc_csv(c, p))
-                report["attacks"][kind][variant] = data["metrics"].to_json_dict()
-                report["attacks"][kind][variant]["tau"] = data["tau"]
-                failed_hf[kind][variant] = data["failed_hf"]
-            comparison_rows.append(
-                (kind, evaluated["raw"]["metrics"], evaluated["filtered"]["metrics"])
-            )
-
-        stage = "report"
-        emit("failed_hf.json", lambda p: Path(p).write_text(
-            json.dumps(failed_hf, indent=2) + "\n"))
-        emit("comparison.csv", lambda p: _write_comparison(p, comparison_rows))
-        report["failed_hf"] = failed_hf
-        report["final_train_loss"] = trace[-1] if trace else None
-        emit("experiment.json", lambda p: Path(p).write_text(
-            json.dumps(report, indent=2) + "\n"))
-        return report
-    except Exception as exc:
-        partial = out / "partial"
-        partial.mkdir(exist_ok=True)
-        for produced in written:
-            if produced.exists():
-                shutil.move(str(produced), str(partial / produced.name))
-        raise ExperimentError(stage, str(exc)) from exc
+    pipe = Pipeline(config)
+    samples, sched = load_inputs(config)
+    if denoiser_factory is None:
+        denoiser, _ = train_stage(pipe, samples, sched)
+    else:
+        with pipe.stage("train"):
+            denoiser = denoiser_factory(_members(samples), config, sched)
+    evaluated = {}
+    for attack_cfg in config.attack_configs():
+        records = attack_stage(pipe, attack_cfg, samples, denoiser, sched)
+        evaluated[attack_cfg.kind] = evaluate_stage(pipe, attack_cfg.kind, records)
+    return report_stage(pipe, evaluated)

@@ -20,7 +20,6 @@ __all__ = [
     "FilterSpec",
     "forward_dft",
     "inverse_dft",
-    "radial_distance",
     "radial_grid",
     "build_mask",
     "apply_filter",
@@ -78,13 +77,6 @@ def inverse_dft(spec) -> np.ndarray:
         raise ContractViolation("spectrum contains non-finite values")
     back = np.fft.ifft2(np.fft.ifftshift(arr, axes=(-2, -1)), axes=(-2, -1))
     return back.real
-
-
-def radial_distance(u: int, v: int, height: int, width: int) -> float:
-    """Euclidean distance of frequency index (u, v) from the DC center."""
-    if not (0 <= u < height and 0 <= v < width):
-        raise ContractViolation(f"index ({u}, {v}) outside {height}x{width} grid")
-    return float(np.hypot(u - height // 2, v - width // 2))
 
 
 def radial_grid(height: int, width: int) -> np.ndarray:

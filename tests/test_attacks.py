@@ -16,7 +16,7 @@ from freqmia.attacks import (
 )
 from freqmia.datasets import LabeledSample
 from freqmia.denoiser import TrainingConfig, train_toy_denoiser
-from freqmia.errors import ConfigurationError, ContractViolation
+from freqmia.errors import ConfigurationError, ContractViolation, IngestionError
 from freqmia.seeding import derive_rng
 from freqmia.spectral import FilterSpec, apply_filter
 
@@ -263,11 +263,29 @@ class TestScoreCsv:
         loaded = read_score_csv(path)
         assert [r.sample_id for r in loaded] == ["a", "b"]
         assert loaded[1].score_filtered is None
-        for before, after in zip(records, loaded):
-            assert after.score_raw == pytest.approx(before.score_raw, rel=1e-11)
+        assert loaded == records
 
-    def test_twelve_significant_digits(self, tmp_path):
-        records = [ScoreRecord("a", 1, 1.0 / 3.0, None, 0.5)]
+    def test_floats_written_with_repr(self, tmp_path):
+        records = [ScoreRecord("a", 1, 1.0 / 3.0, None, 0.1 + 0.2)]
         path = tmp_path / "scores.csv"
         write_score_csv(records, path)
-        assert "0.333333333333" in path.read_text()
+        assert path.read_text().splitlines()[1] == f"a,1,{1.0 / 3.0!r},,{0.1 + 0.2!r}"
+
+    def test_no_rows_rejected(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_score_csv([], path)
+        with pytest.raises(IngestionError, match="no score rows"):
+            read_score_csv(path)
+
+    def test_missing_column_rejected(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("sample_id,membership,score_raw,hf_content\na,1,0.5,0.25\n")
+        with pytest.raises(IngestionError, match="score_filtered"):
+            read_score_csv(path)
+
+    @pytest.mark.parametrize("row", ["a,1,oops,,0.25", "a,yes,0.5,,0.25", "a,1"])
+    def test_malformed_cell_rejected(self, tmp_path, row):
+        path = tmp_path / "scores.csv"
+        path.write_text("sample_id,membership,score_raw,score_filtered,hf_content\n" + row + "\n")
+        with pytest.raises(IngestionError, match="line 2"):
+            read_score_csv(path)

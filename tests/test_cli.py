@@ -81,12 +81,33 @@ class TestStagedCommands:
         assert "naive" in shown and "secmi" in shown and "avg+" in shown
 
     def test_staged_scores_match_run_scores(self, tmp_path, config_path):
-        out = tmp_path / "out"
-        main(["train", "--config", str(config_path)])
-        main(["attack", "--config", str(config_path)])
-        staged = (out / "scores_pia.csv").read_bytes()
-        main(["run", "--config", str(config_path), "--out", str(tmp_path / "full")])
-        assert staged == (tmp_path / "full" / "scores_pia.csv").read_bytes()
+        # train -> attack -> eval writes exactly the csv/json files of run
+        for command in ("train", "attack", "eval"):
+            assert main([command, "--config", str(config_path)]) == 0
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "full")]) == 0
+
+        def outputs(out):
+            return {p.name: p.read_bytes() for p in out.iterdir() if p.suffix in (".csv", ".json")}
+
+        staged, full = outputs(tmp_path / "out"), outputs(tmp_path / "full")
+        assert "experiment.json" in staged and "failed_hf.json" in staged
+        assert sorted(staged) == sorted(full)
+        for name in full:
+            assert staged[name] == full[name], name
+
+    def test_staged_stage_failure_reported_like_run(self, tmp_path, config_path, capsys):
+        bad_t = ["--t-attack", "13"]  # off secmi's stride ladder
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "r"),
+                     *bad_t]) == 2
+        from_run = capsys.readouterr().err
+        assert main(["train", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert main(["attack", "--config", str(config_path), *bad_t]) == 2
+        from_attack = capsys.readouterr().err
+        assert "stage 'attack:secmi' failed" in from_attack
+        assert from_attack == from_run
+        assert (tmp_path / "out" / "partial" / "scores_naive.csv").is_file()
+        assert (tmp_path / "out" / "model.fmia").is_file()
 
     def test_attack_requires_model(self, tmp_path, config_path, capsys):
         assert main(["attack", "--config", str(config_path),
@@ -97,6 +118,50 @@ class TestStagedCommands:
         assert main(["eval", "--config", str(config_path),
                      "--out", str(tmp_path / "empty")]) == 1
         assert "scores_" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """A malformed input file is an input error: exit 1, the file named."""
+
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "typo.ini"
+        path.write_text("[training]\nepoch = 3\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "epoch" in capsys.readouterr().err
+
+    def test_pixel_above_maxval_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for i in range(4):
+            (data / f"s{i}.pgm").write_bytes(b"P5\n8 8\n15\n" + bytes([i] * 64))
+        (data / "bad.pgm").write_bytes(b"P5\n8 8\n15\n" + bytes([16] * 64))
+        names = [f"s{i}.pgm" for i in range(4)] + ["bad.pgm"]
+        (data / "manifest.csv").write_text(
+            "".join(f"{name},{i % 2}\n" for i, name in enumerate(names)))
+        config = tiny_config(tmp_path / "out", dataset_kind="pgm_dir", dataset_path=str(data))
+        config.to_file(tmp_path / "pgm.ini")
+        assert main(["train", "--config", str(tmp_path / "pgm.ini")]) == 1
+        assert "bad.pgm" in capsys.readouterr().err
+
+    def test_truncated_model_exits_1(self, tmp_path, config_path, capsys):
+        assert main(["train", "--config", str(config_path)]) == 0
+        model = tmp_path / "out" / "model.fmia"
+        model.write_bytes(model.read_bytes()[:-8])
+        capsys.readouterr()
+        assert main(["attack", "--config", str(config_path)]) == 1
+        assert "model.fmia" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, row", [
+        ("sample_id,membership,score_raw,hf_content", "a,1,0.5,0.25"),
+        ("sample_id,membership,score_raw,score_filtered,hf_content", "a,1,0.5,nan?,0.25"),
+    ])
+    def test_malformed_score_csv_exits_1(self, tmp_path, config_path, capsys, header, row):
+        out = tmp_path / "out"
+        out.mkdir()
+        for kind in ("naive", "pia", "secmi"):
+            (out / f"scores_{kind}.csv").write_text(f"{header}\n{row}\n")
+        assert main(["eval", "--config", str(config_path)]) == 1
+        assert "scores_naive.csv" in capsys.readouterr().err
 
 
 class TestVerifyProp:

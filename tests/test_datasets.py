@@ -100,6 +100,17 @@ class TestPgmRoundTrip:
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
         assert np.all(read_pgm(path) == -1.0)
 
+    def test_maxval_sets_the_white_level(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n3 1\n15\n" + bytes([0, 5, 15]))
+        assert np.array_equal(read_pgm(path)[0, 0], [-1.0, 2.0 * 5 / 15 - 1.0, 1.0])
+
+    def test_pixel_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n" + bytes([3, 16]))
+        with pytest.raises(IngestionError, match="over.pgm"):
+            read_pgm(path)
+
     def test_header_comments_allowed(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes(4))

@@ -5,14 +5,14 @@ from freqmia.denoiser import (
     ToyDenoiser,
     TrainingConfig,
     batch_loss_and_grads,
-    evaluate_mean_loss,
     load_denoiser,
     save_denoiser,
     timestep_embedding,
     train_toy_denoiser,
 )
-from freqmia.diffusion import linear_schedule, simple_loss
-from freqmia.errors import ConfigurationError, ContractViolation, TrainingError
+from freqmia.diffusion import linear_schedule, q_sample
+from freqmia.errors import ConfigurationError, ContractViolation, IngestionError, TrainingError
+from freqmia.seeding import derive_rng
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,18 @@ def smooth_images(n, size, seed):
     spec *= 1.0 / (1.0 + (freq * size) ** 2)
     img = np.fft.ifft2(spec, axes=(-2, -1)).real
     return img / np.max(np.abs(img), axis=(-2, -1), keepdims=True)
+
+
+def mean_loss(den, images, sched, timesteps, seed):
+    """Mean denoising MSE over images x timesteps; the noise for (image i,
+    timestep t) depends only on the seed and the pair, so member and
+    hold-out sets are compared at matched conditions."""
+    losses = []
+    for i, x0 in enumerate(np.asarray(images, dtype=np.float64)):
+        for t in timesteps:
+            eps = derive_rng(seed, "eval-eps", str(i), str(int(t))).standard_normal(x0.shape)
+            losses.append(np.mean((den(q_sample(x0, t, eps, sched), int(t)) - eps) ** 2))
+    return float(np.mean(losses))
 
 
 class TestEmbedding:
@@ -75,7 +87,8 @@ class TestToyDenoiser:
         x0 = rng.standard_normal((1, 1, 4, 4))
         eps = rng.standard_normal((1, 1, 4, 4))
         loss, _, _ = batch_loss_and_grads(den, x0, [7], eps, sched)
-        assert loss == pytest.approx(simple_loss(den, x0[0], 7, eps[0], sched), abs=1e-12)
+        eps_hat = den(q_sample(x0[0], 7, eps[0], sched), 7)
+        assert loss == pytest.approx(np.mean((eps[0] - eps_hat) ** 2), abs=1e-12)
 
 
 class TestGradients:
@@ -131,8 +144,8 @@ class TestTraining:
         config = TrainingConfig(epochs=4000, batch_size=1, learning_rate=0.005, seed=1)
         den, trace = train_toy_denoiser(images, config, sched, hidden_sizes=(128,), emb_dim=8)
         timesteps = [2, 5, 10, 20, 40]
-        member_loss = evaluate_mean_loss(den, images, sched, timesteps, seed=99)
-        holdout_loss = evaluate_mean_loss(den, holdout, sched, timesteps, seed=99)
+        member_loss = mean_loss(den, images, sched, timesteps, seed=99)
+        holdout_loss = mean_loss(den, holdout, sched, timesteps, seed=99)
         assert member_loss < 0.5 * holdout_loss
         assert trace[-1] < trace[0]
 
@@ -145,8 +158,8 @@ class TestTraining:
             config = TrainingConfig(epochs=0, batch_size=4, learning_rate=0.05, seed=seed)
             den, trace = train_toy_denoiser(members, config, sched, hidden_sizes=(32,), emb_dim=8)
             assert trace == []
-            member_loss = evaluate_mean_loss(den, members, sched, timesteps, seed=7)
-            holdout_loss = evaluate_mean_loss(den, holdout, sched, timesteps, seed=7)
+            member_loss = mean_loss(den, members, sched, timesteps, seed=7)
+            holdout_loss = mean_loss(den, holdout, sched, timesteps, seed=7)
             diffs.append(member_loss - holdout_loss)
         diffs = np.asarray(diffs)
         se = np.std(diffs, ddof=1) / np.sqrt(len(diffs))
@@ -213,6 +226,15 @@ class TestSerialization:
         n_floats = den.num_parameters
         sizes = den.layer_sizes
         assert len(blob) == 4 + 7 * 4 + len(sizes) * 4 + 8 * n_floats
+
+    @pytest.mark.parametrize("keep", [10, 40, -8])
+    def test_truncated_file_rejected(self, sched, tmp_path, keep):
+        den = ToyDenoiser.initialize((1, 4, 4), (10,), 4, sched.T, seed=8)
+        path = tmp_path / "model.fmia"
+        save_denoiser(den, path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(IngestionError, match="model.fmia"):
+            load_denoiser(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.fmia"

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import make_const_denoiser, zero_denoiser
+from freqmia.denoiser import ToyDenoiser, batch_loss_and_grads
 from freqmia.diffusion import (
     NoiseSchedule,
     ddim_denoise_chain,
-    ddim_denoise_step,
     ddim_reverse_chain,
-    ddim_reverse_step,
-    ddpm_denoise_step,
     linear_schedule,
     predict_x0,
     q_sample,
-    simple_loss,
 )
 from freqmia.errors import ConfigurationError, ContractViolation
 
@@ -81,24 +78,42 @@ class TestQSample:
             q_sample(np.zeros((1, 4, 4)), 50, np.zeros((1, 4, 4)), small_sched)
 
 
+def const_toy_denoiser(c, T):
+    """A ToyDenoiser with zero weights whose output bias is c: it predicts
+    c whatever the input, so the training loss has a closed form."""
+    c = np.asarray(c, dtype=np.float64)
+    den = ToyDenoiser.initialize(c.shape, (4,), 4, T, seed=0)
+    den.weights = [np.zeros_like(w) for w in den.weights]
+    den.biases[-1] = c.ravel().copy()
+    return den
+
+
 class TestSimpleLoss:
+    """The training loss of one sample: mean squared error between the
+    drawn noise and the prediction at the noised state."""
+
     def test_perfect_predictor_gives_zero(self, small_sched):
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal((1, 4, 4))
         eps = rng.standard_normal((1, 4, 4))
-        assert simple_loss(make_const_denoiser(eps), x0, 7, eps, small_sched) == 0.0
+        den = const_toy_denoiser(eps, small_sched.T)
+        loss, _, _ = batch_loss_and_grads(den, x0[None], [7], eps[None], small_sched)
+        assert loss == 0.0
 
     def test_zero_predictor_on_unit_noise(self, small_sched):
         x0 = np.zeros((1, 4, 4))
         eps = np.ones((1, 4, 4))
-        assert simple_loss(zero_denoiser, x0, 7, eps, small_sched) == pytest.approx(1.0)
+        den = const_toy_denoiser(np.zeros((1, 4, 4)), small_sched.T)
+        loss, _, _ = batch_loss_and_grads(den, x0[None], [7], eps[None], small_sched)
+        assert loss == pytest.approx(1.0)
 
     def test_matches_elementwise_oracle(self, small_sched):
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal((1, 4, 4))
         eps = rng.standard_normal((1, 4, 4))
         pred = rng.standard_normal((1, 4, 4))
-        loss = simple_loss(make_const_denoiser(pred), x0, 12, eps, small_sched)
+        den = const_toy_denoiser(pred, small_sched.T)
+        loss, _, _ = batch_loss_and_grads(den, x0[None], [12], eps[None], small_sched)
         assert abs(loss - np.mean((eps - pred) ** 2)) < 1e-10
 
 
@@ -127,12 +142,22 @@ class TestPredictX0:
         assert np.max(np.abs(predict_x0(x_t, eps_hat, t, small_sched) - expected)) < 1e-10
 
 
+def denoise_step(x, t, den, sched):
+    """Single deterministic denoise step t -> t-1: a chain with stride 1."""
+    return ddim_denoise_chain(x, t, t - 1, den, sched, stride=1)
+
+
+def reverse_step(x, t, den, sched):
+    """Single deterministic inversion step t -> t+1: a chain with stride 1."""
+    return ddim_reverse_chain(x, t, t + 1, den, sched, stride=1)
+
+
 class TestDdimSteps:
     def test_denoise_with_zero_stub_rescales(self, small_sched):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((1, 4, 4))
         t = 20
-        out = ddim_denoise_step(x, t, zero_denoiser, small_sched)
+        out = denoise_step(x, t, zero_denoiser, small_sched)
         ratio = np.sqrt(small_sched.alpha_bar[t - 1] / small_sched.alpha_bar[t])
         assert np.max(np.abs(out - ratio * x)) < 1e-12
 
@@ -142,7 +167,7 @@ class TestDdimSteps:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((1, 4, 4))
         den = make_const_denoiser(rng.standard_normal((1, 4, 4)))
-        out = ddim_denoise_step(x, 1, den, sched)
+        out = denoise_step(x, 1, den, sched)
         assert np.max(np.abs(out - x)) < 1e-12
 
     def test_denoise_matches_formula_oracle(self, small_sched):
@@ -150,7 +175,7 @@ class TestDdimSteps:
         x = rng.standard_normal((1, 4, 4))
         eps = rng.standard_normal((1, 4, 4))
         t = 30
-        out = ddim_denoise_step(x, t, make_const_denoiser(eps), small_sched)
+        out = denoise_step(x, t, make_const_denoiser(eps), small_sched)
         a_prev, a_cur = small_sched.alpha_bar[t - 1], small_sched.alpha_bar[t]
         expected = (np.sqrt(a_prev) * (x - np.sqrt(1 - a_cur) * eps) / np.sqrt(a_cur)
                     + np.sqrt(1 - a_prev) * eps)
@@ -160,7 +185,7 @@ class TestDdimSteps:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((1, 4, 4))
         t = 20
-        out = ddim_reverse_step(x, t, zero_denoiser, small_sched)
+        out = reverse_step(x, t, zero_denoiser, small_sched)
         ratio = np.sqrt(small_sched.alpha_bar[t + 1] / small_sched.alpha_bar[t])
         assert np.max(np.abs(out - ratio * x)) < 1e-12
 
@@ -169,7 +194,7 @@ class TestDdimSteps:
         x = rng.standard_normal((1, 4, 4))
         eps = rng.standard_normal((1, 4, 4))
         t = 25
-        out = ddim_reverse_step(x, t, make_const_denoiser(eps), small_sched)
+        out = reverse_step(x, t, make_const_denoiser(eps), small_sched)
         a_next, a_cur = small_sched.alpha_bar[t + 1], small_sched.alpha_bar[t]
         expected = (np.sqrt(a_next) * (x - np.sqrt(1 - a_cur) * eps) / np.sqrt(a_cur)
                     + np.sqrt(1 - a_next) * eps)
@@ -180,23 +205,23 @@ class TestDdimSteps:
         x = rng.standard_normal((1, 4, 4))
         den = make_const_denoiser(rng.standard_normal((1, 4, 4)))
         for t in (0, 17, 48):
-            up = ddim_reverse_step(x, t, den, small_sched)
-            back = ddim_denoise_step(up, t + 1, den, small_sched)
+            up = reverse_step(x, t, den, small_sched)
+            back = denoise_step(up, t + 1, den, small_sched)
             assert np.max(np.abs(back - x)) < 1e-6
 
     def test_boundary_timesteps_rejected(self, small_sched):
         x = np.zeros((1, 4, 4))
         with pytest.raises(ContractViolation):
-            ddim_denoise_step(x, 0, zero_denoiser, small_sched)
+            denoise_step(x, 0, zero_denoiser, small_sched)
         with pytest.raises(ContractViolation):
-            ddim_reverse_step(x, small_sched.T - 1, zero_denoiser, small_sched)
+            reverse_step(x, small_sched.T - 1, zero_denoiser, small_sched)
 
     def test_steps_are_deterministic(self, small_sched):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((1, 4, 4))
         den = make_const_denoiser(rng.standard_normal((1, 4, 4)))
-        a = ddim_denoise_step(x, 5, den, small_sched)
-        b = ddim_denoise_step(x, 5, den, small_sched)
+        a = denoise_step(x, 5, den, small_sched)
+        b = denoise_step(x, 5, den, small_sched)
         assert np.array_equal(a, b)
 
 
@@ -206,7 +231,9 @@ class TestDdimChains:
         x = rng.standard_normal((1, 4, 4))
         den = make_const_denoiser(rng.standard_normal((1, 4, 4)))
         chain = ddim_reverse_chain(x, 9, 10, den, small_sched, stride=1)
-        step = ddim_reverse_step(x, 9, den, small_sched)
+        eps = den(x, 9)
+        a10 = small_sched.alpha_bar[10]
+        step = np.sqrt(a10) * predict_x0(x, eps, 9, small_sched) + np.sqrt(1.0 - a10) * eps
         assert np.array_equal(chain, step)
 
     def test_stride_spanning_whole_range_is_one_macro_step(self, small_sched):
@@ -241,7 +268,10 @@ class TestDdimChains:
         x = rng.standard_normal((1, 4, 4))
         den = make_const_denoiser(rng.standard_normal((1, 4, 4)))
         chain = ddim_denoise_chain(x, 10, 9, den, small_sched, stride=1)
-        assert np.array_equal(chain, ddim_denoise_step(x, 10, den, small_sched))
+        eps = den(x, 10)
+        a9 = small_sched.alpha_bar[9]
+        step = np.sqrt(a9) * predict_x0(x, eps, 10, small_sched) + np.sqrt(1.0 - a9) * eps
+        assert np.array_equal(chain, step)
 
     def test_indivisible_span_rejected(self, small_sched):
         x = np.zeros((1, 4, 4))
@@ -252,24 +282,3 @@ class TestDdimChains:
         x = np.zeros((1, 4, 4))
         with pytest.raises(ContractViolation):
             ddim_reverse_chain(x, 10, 5, zero_denoiser, small_sched, stride=5)
-
-
-class TestDdpmStep:
-    def test_reduces_to_mean_when_noise_is_zero(self, small_sched):
-        class _ZeroRng:
-            def standard_normal(self, shape):
-                return np.zeros(shape)
-
-        rng = np.random.default_rng(20)
-        x = rng.standard_normal((1, 4, 4))
-        t = 12
-        out = ddpm_denoise_step(x, t, zero_denoiser, small_sched, _ZeroRng())
-        alpha, abar = small_sched.alpha[t], small_sched.alpha_bar[t]
-        expected = x / np.sqrt(alpha)
-        assert np.max(np.abs(out - expected)) < 1e-12
-
-    def test_seeded_rng_is_reproducible(self, small_sched):
-        x = np.zeros((1, 4, 4))
-        a = ddpm_denoise_step(x, 5, zero_denoiser, small_sched, np.random.default_rng(99))
-        b = ddpm_denoise_step(x, 5, zero_denoiser, small_sched, np.random.default_rng(99))
-        assert np.array_equal(a, b)

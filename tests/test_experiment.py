@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +235,12 @@ class TestConfigFile:
         config.to_file(path)
         assert ExperimentConfig.from_file(path) == config
 
+    def test_percent_sign_round_trips(self, tmp_path):
+        config = tiny_config(tmp_path / "run%1", dataset_path="data%2")
+        path = tmp_path / "config.ini"
+        config.to_file(path)
+        assert ExperimentConfig.from_file(path) == config
+
     def test_default_config_round_trips(self, tmp_path):
         config = default_config(seed=11, out_dir=str(tmp_path / "o"))
         path = tmp_path / "c.ini"
@@ -243,6 +250,30 @@ class TestConfigFile:
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(ConfigurationError, match="nope.ini"):
             ExperimentConfig.from_file(tmp_path / "nope.ini")
+
+    def test_default_config_writes_the_shipped_file(self, tmp_path):
+        path = tmp_path / "default.ini"
+        ExperimentConfig().to_file(path)
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+        assert path.read_bytes() == shipped.read_bytes()
+
+    @pytest.mark.parametrize("text, named", [
+        ("[training]\nepoch = 3\n", "'epoch' in \\[training\\]"),
+        ("[dataset]\nepochs = 3\n", "'epochs' in \\[dataset\\]"),
+        ("[trainng]\nepochs = 3\n", "\\[trainng\\]"),
+        ("[DEFAULT]\nseed = 3\n", "\\[DEFAULT\\]"),
+    ])
+    def test_unknown_key_or_section_rejected(self, tmp_path, text, named):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=named):
+            ExperimentConfig.from_file(path)
+
+    def test_unparsable_value_names_key(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[training]\nepochs = many\n")
+        with pytest.raises(ConfigurationError, match="epochs"):
+            ExperimentConfig.from_file(path)
 
     def test_partial_file_uses_defaults(self, tmp_path):
         path = tmp_path / "c.ini"

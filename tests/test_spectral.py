@@ -9,7 +9,6 @@ from freqmia.spectral import (
     forward_dft,
     high_frequency_content,
     inverse_dft,
-    radial_distance,
     radial_grid,
 )
 
@@ -142,23 +141,20 @@ class TestInverseDft:
 
 class TestRadialGeometry:
     def test_center_is_zero(self):
-        assert radial_distance(8, 8, 16, 16) == 0.0
+        assert radial_grid(16, 16)[8, 8] == 0.0
 
     def test_axis_offset(self):
-        assert radial_distance(11, 8, 16, 16) == pytest.approx(3.0)
+        assert radial_grid(16, 16)[11, 8] == pytest.approx(3.0)
 
     def test_three_four_five(self):
-        assert radial_distance(11, 12, 16, 16) == pytest.approx(5.0)
+        assert radial_grid(16, 16)[11, 12] == pytest.approx(5.0)
 
     def test_grid_matches_pointwise(self):
         grid = radial_grid(6, 9)
+        assert grid.shape == (6, 9)
         for u in range(6):
             for v in range(9):
-                assert grid[u, v] == pytest.approx(radial_distance(u, v, 6, 9))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ContractViolation):
-            radial_distance(16, 0, 16, 16)
+                assert grid[u, v] == pytest.approx(np.hypot(u - 6 // 2, v - 9 // 2))
 
 
 class TestBuildMask:
