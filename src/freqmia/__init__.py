@@ -34,6 +34,7 @@ from .datasets import (
 from .denoiser import (
     ToyDenoiser,
     TrainingConfig,
+    layer_views,
     load_denoiser,
     save_denoiser,
     timestep_embedding,

@@ -213,8 +213,9 @@ def write_score_csv(records, path) -> None:
 
 def read_score_csv(path) -> list[ScoreRecord]:
     """Inverse of :func:`write_score_csv`. A missing column, a cell that
-    does not parse or a file without rows raises :class:`IngestionError`
-    naming the file."""
+    does not parse, a membership other than 0 or 1, a ``score_filtered``
+    column filled on some rows only, or a file without rows raises
+    :class:`IngestionError` naming the file."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -228,8 +229,13 @@ def read_score_csv(path) -> list[ScoreRecord]:
                 continue
             try:
                 sample_id, membership, raw, filtered, hf = (row[i] for i in columns)
-                records.append(ScoreRecord(sample_id, int(membership), float(raw),
-                                           float(filtered) if filtered else None, float(hf)))
+                record = ScoreRecord(sample_id, int(membership), float(raw),
+                                     float(filtered) if filtered else None, float(hf))
+                if record.membership not in (0, 1):
+                    raise ValueError(f"membership must be 0 or 1, got {membership!r}")
+                if records and (not filtered) != (records[0].score_filtered is None):
+                    raise ValueError("score_filtered must be filled on every row or on none")
+                records.append(record)
             except (IndexError, ValueError) as exc:
                 raise IngestionError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not records:

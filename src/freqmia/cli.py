@@ -97,7 +97,7 @@ def _cmd_train(args) -> int:
     samples, sched = load_inputs(config)
     denoiser, trace = train_stage(pipe, samples, sched)
     final = f"{trace[-1]:.6g}" if trace else "n/a"
-    print(f"trained {denoiser.num_parameters} parameters, final loss {final}")
+    print(f"trained {denoiser.params.size} parameters, final loss {final}")
     return 0
 
 
@@ -109,6 +109,12 @@ def _cmd_attack(args) -> int:
     denoiser = load_denoiser(model_path)
     pipe = Pipeline(config)
     samples, sched = load_inputs(config)
+    if denoiser.T != sched.T:
+        raise ConfigurationError(
+            f"{model_path}: model has T={denoiser.T}, the config's schedule has T={sched.T}")
+    if denoiser.image_shape != samples[0].image.shape:
+        raise ConfigurationError(f"{model_path}: model image shape {denoiser.image_shape}, "
+                                 f"the config's samples have {samples[0].image.shape}")
     for attack_cfg in config.attack_configs():
         records = attack_stage(pipe, attack_cfg, samples, denoiser, sched)
         print(f"scored {len(records)} samples with {attack_cfg.kind}")

@@ -11,11 +11,11 @@ Weight files ("FMIA" format, version 1) are flat little-endian binaries:
 
     magic b"FMIA" | u32 version | u32 T | u32 C | u32 H | u32 W
     | u32 emb_dim | u32 n_sizes | u32 sizes[n_sizes]
-    | f64 weights...
+    | f64 params...
 
-where sizes lists the layer input/output widths (in, hidden..., out) and
-the weights follow in declaration order: for each layer, the weight matrix
-row-major, then the bias vector.
+where sizes lists the layer widths (in, hidden..., out) and the body is the
+model's flat ``params``: W0 (sizes[1] x sizes[0], row-major), b0, W1, b1, and
+so on. :func:`layer_views` is the only code that knows this layout.
 """
 
 import struct
@@ -30,6 +30,7 @@ from .seeding import derive_rng
 __all__ = [
     "TrainingConfig",
     "ToyDenoiser",
+    "layer_views",
     "timestep_embedding",
     "batch_loss_and_grads",
     "train_toy_denoiser",
@@ -82,46 +83,57 @@ def timestep_embedding(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
+def _param_count(sizes) -> int:
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def layer_views(flat: np.ndarray, sizes):
+    """Per-layer ``(weights, biases)`` views into a flat parameter-shaped
+    vector: for each layer, the (out, in) weight matrix row-major, then the
+    bias. ``sizes`` lists the widths (in, hidden..., out)."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[offset:offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        offset += fan_out * fan_in
+        biases.append(flat[offset:offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
 class ToyDenoiser:
     """Tanh MLP over (flattened image, timestep embedding) pairs.
 
     Satisfies the denoiser contract: calling an instance with an image of
     shape ``image_shape`` and an integer timestep returns a same-shaped
-    noise prediction. Evaluation is read-only and thread-safe.
+    noise prediction. Evaluation is read-only and thread-safe. ``weights``
+    and ``biases`` are views into the one parameter vector ``params``.
     """
 
-    def __init__(self, weights, biases, image_shape, emb_dim: int, T: int):
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+    def __init__(self, params, layer_sizes, image_shape, emb_dim: int, T: int):
+        self.params = np.ascontiguousarray(params, dtype=np.float64)
+        self.layer_sizes = [int(s) for s in layer_sizes]
         self.image_shape = tuple(int(d) for d in image_shape)
         self.emb_dim = int(emb_dim)
         self.T = int(T)
+        if len(self.layer_sizes) < 2 or self.params.shape != (_param_count(self.layer_sizes),):
+            raise ConfigurationError(f"parameters do not fit layer sizes {self.layer_sizes}")
         pixels = int(np.prod(self.image_shape))
-        if self.weights[0].shape[1] != pixels + self.emb_dim:
+        if self.layer_sizes[0] != pixels + self.emb_dim:
             raise ConfigurationError("first layer width does not match image + embedding size")
-        if self.weights[-1].shape[0] != pixels:
+        if self.layer_sizes[-1] != pixels:
             raise ConfigurationError("last layer width does not match image size")
+        self.weights, self.biases = layer_views(self.params, self.layer_sizes)
 
     @classmethod
     def initialize(cls, image_shape, hidden_sizes, emb_dim: int, T: int, seed: int) -> "ToyDenoiser":
-        """Xavier-scaled random initialization, deterministic in the seed."""
+        """Xavier-scaled random weights and zero biases, deterministic in the seed."""
         pixels = int(np.prod(image_shape))
         sizes = [pixels + emb_dim, *hidden_sizes, pixels]
         rng = derive_rng(seed, "denoiser-init")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            scale = np.sqrt(2.0 / (fan_in + fan_out))
-            weights.append(rng.standard_normal((fan_out, fan_in)) * scale)
-            biases.append(np.zeros(fan_out))
-        return cls(weights, biases, image_shape, emb_dim, T)
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    @property
-    def num_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        params = np.zeros(_param_count(sizes))
+        for weight in layer_views(params, sizes)[0]:
+            weight[...] = rng.standard_normal(weight.shape) * np.sqrt(2.0 / sum(weight.shape))
+        return cls(params, sizes, image_shape, emb_dim, T)
 
     def _forward_batch(self, inputs: np.ndarray) -> list[np.ndarray]:
         """Activations per layer for a (B, in) batch; last entry is the output."""
@@ -150,9 +162,9 @@ class ToyDenoiser:
 def batch_loss_and_grads(den: ToyDenoiser, x0_batch, t_batch, eps_batch, sched: NoiseSchedule):
     """MSE loss on a noised batch and its gradients w.r.t. every parameter.
 
-    Returns (loss, weight_grads, bias_grads). The loss is the mean squared
-    error between the drawn and the predicted noise over all elements of
-    the batch.
+    Returns ``(loss, grad)``: the mean squared error between the drawn and
+    the predicted noise over all elements of the batch, and its gradient as
+    one vector laid out like ``den.params``.
     """
     x0 = np.asarray(x0_batch, dtype=np.float64).reshape(len(x0_batch), -1)
     eps = np.asarray(eps_batch, dtype=np.float64).reshape(len(eps_batch), -1)
@@ -166,15 +178,15 @@ def batch_loss_and_grads(den: ToyDenoiser, x0_batch, t_batch, eps_batch, sched: 
     diff = pred - eps
     loss = float(np.mean(diff**2))
 
-    w_grads = [np.zeros_like(w) for w in den.weights]
-    b_grads = [np.zeros_like(b) for b in den.biases]
+    grad = np.empty_like(den.params)
+    w_grads, b_grads = layer_views(grad, den.layer_sizes)
     delta = 2.0 * diff / diff.size
     for i in range(len(den.weights) - 1, -1, -1):
-        w_grads[i] = delta.T @ acts[i]
-        b_grads[i] = delta.sum(axis=0)
+        w_grads[i][...] = delta.T @ acts[i]
+        b_grads[i][...] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ den.weights[i]) * (1.0 - acts[i] ** 2)
-    return loss, w_grads, b_grads
+    return loss, grad
 
 
 def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
@@ -192,8 +204,7 @@ def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
     n = images.shape[0]
     den = ToyDenoiser.initialize(images.shape[1:], hidden_sizes, emb_dim, sched.T, config.seed)
     rng = derive_rng(config.seed, "denoiser-train")
-    vel_w = [np.zeros_like(w) for w in den.weights]
-    vel_b = [np.zeros_like(b) for b in den.biases]
+    vel = np.zeros_like(den.params)
     flat_dim = int(np.prod(images.shape[1:]))
 
     trace = []
@@ -204,14 +215,12 @@ def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
             idx = order[start:start + config.batch_size]
             t = rng.integers(0, sched.T, size=len(idx))
             eps = rng.standard_normal((len(idx), flat_dim))
-            loss, w_grads, b_grads = batch_loss_and_grads(den, images[idx], t, eps, sched)
+            loss, grad = batch_loss_and_grads(den, images[idx], t, eps, sched)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
-            for i in range(len(den.weights)):
-                vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * w_grads[i]
-                vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * b_grads[i]
-                den.weights[i] += vel_w[i]
-                den.biases[i] += vel_b[i]
+            vel *= config.momentum
+            vel -= config.learning_rate * grad
+            den.params += vel
             epoch_losses.append(loss)
         trace.append(float(np.mean(epoch_losses)))
     return den, trace
@@ -226,10 +235,7 @@ def save_denoiser(den: ToyDenoiser, path) -> None:
         "<7I", _FORMAT_VERSION, den.T, c, h, w, den.emb_dim, len(sizes)
     ) + struct.pack(f"<{len(sizes)}I", *sizes)
     with open(path, "wb") as fh:
-        fh.write(header)
-        for weight, bias in zip(den.weights, den.biases):
-            fh.write(weight.astype("<f8").tobytes(order="C"))
-            fh.write(bias.astype("<f8").tobytes())
+        fh.write(header + den.params.astype("<f8").tobytes())
 
 
 def load_denoiser(path) -> ToyDenoiser:
@@ -252,15 +258,8 @@ def load_denoiser(path) -> ToyDenoiser:
         raise IngestionError(f"{path}: truncated FMIA header ({len(blob)} bytes)")
     sizes = struct.unpack_from(f"<{n_sizes}I", blob, offset)
     offset += n_sizes * 4
-    expected = offset + 8 * sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    expected = offset + 8 * _param_count(sizes)
     if len(blob) != expected:
         raise IngestionError(f"{path}: {len(blob)} bytes, the header implies {expected}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weight = np.frombuffer(blob, dtype="<f8", count=fan_out * fan_in, offset=offset)
-        offset += weight.nbytes
-        bias = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset)
-        offset += bias.nbytes
-        weights.append(weight.reshape(fan_out, fan_in).copy())
-        biases.append(bias.copy())
-    return ToyDenoiser(weights, biases, (c, h, w), emb_dim, T)
+    params = np.frombuffer(blob, dtype="<f8", offset=offset).copy()
+    return ToyDenoiser(params, sizes, (c, h, w), emb_dim, T)

@@ -56,12 +56,17 @@ def _split_scores(records, use_filtered: bool):
     member, holdout = [], []
     for rec in records:
         value = getattr(rec, column)
-        if value is None:
-            raise EvaluationError(f"record {rec.sample_id} has no {column}")
+        if value is None or math.isnan(value):
+            raise EvaluationError(f"record {rec.sample_id} has no {column} (got {value})")
         (member if rec.membership == 1 else holdout).append(float(value))
     if not member or not holdout:
         raise EvaluationError("need scores from both classes")
     return np.asarray(member), np.asarray(holdout)
+
+
+def _count_at_or_below(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many scores are <= each threshold."""
+    return np.searchsorted(np.sort(scores), thresholds, side="right")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +89,8 @@ def compute_asr(records, use_filtered: bool = False):
     distinct = np.unique(np.concatenate([member, holdout]))
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     taus = np.concatenate([[-np.inf], mids, [np.inf]])
-    tprs = np.mean(member[None, :] <= taus[:, None], axis=1)
-    tnrs = np.mean(holdout[None, :] > taus[:, None], axis=1)
+    tprs = _count_at_or_below(member, taus) / member.size
+    tnrs = (holdout.size - _count_at_or_below(holdout, taus)) / holdout.size
     balanced = (tprs + tnrs) / 2.0
     best = int(np.argmax(balanced))  # argmax takes the first, i.e. smallest tau
     return float(balanced[best]), float(taus[best])
@@ -96,8 +101,8 @@ def compute_roc(records, use_filtered: bool = False) -> RocCurve:
     member, holdout = _split_scores(records, use_filtered)
     distinct = np.unique(np.concatenate([member, holdout]))
     thresholds = np.concatenate([[-np.inf], distinct])
-    tpr = np.mean(member[None, :] <= thresholds[:, None], axis=1)
-    fpr = np.mean(holdout[None, :] <= thresholds[:, None], axis=1)
+    tpr = _count_at_or_below(member, thresholds) / member.size
+    fpr = _count_at_or_below(holdout, thresholds) / holdout.size
     return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from freqmia.attacks import naive_pair, paradigm_score, pia_pair, secmi_pair
-from freqmia.denoiser import ToyDenoiser, batch_loss_and_grads
+from freqmia.denoiser import ToyDenoiser, batch_loss_and_grads, layer_views
 from freqmia.diffusion import linear_schedule, q_sample
 from freqmia.evaluation import (
     PropositionInputs,
@@ -185,7 +185,8 @@ def test_criterion_5_gradient_correctness(capsys):
     x0 = rng.standard_normal((8, 1, 8, 8))
     eps = rng.standard_normal((8, 1, 8, 8))
     t = rng.integers(0, sched.T, size=8)
-    _, w_grads, b_grads = batch_loss_and_grads(den, x0, t, eps, sched)
+    _, grad = batch_loss_and_grads(den, x0, t, eps, sched)
+    w_grads, _ = layer_views(grad, den.layer_sizes)
 
     params = [(layer, idx) for layer in range(len(den.weights))
               for idx in range(den.weights[layer].size)]
@@ -197,9 +198,9 @@ def test_criterion_5_gradient_correctness(capsys):
         flat = den.weights[layer].ravel()
         original = flat[idx]
         flat[idx] = original + step
-        up, _, _ = batch_loss_and_grads(den, x0, t, eps, sched)
+        up, _ = batch_loss_and_grads(den, x0, t, eps, sched)
         flat[idx] = original - step
-        down, _, _ = batch_loss_and_grads(den, x0, t, eps, sched)
+        down, _ = batch_loss_and_grads(den, x0, t, eps, sched)
         flat[idx] = original
         fd = (up - down) / (2 * step)
         an = w_grads[layer].ravel()[idx]

@@ -253,7 +253,7 @@ class TestScoreCsv:
     def test_round_trip(self, tmp_path):
         records = [
             ScoreRecord("a", 1, 0.123456789012345, 0.0012345, 0.25),
-            ScoreRecord("b", 0, 1.5e-7, None, 0.75),
+            ScoreRecord("b", 0, 1.5e-7, 2.5e-9, 0.75),
         ]
         path = tmp_path / "scores.csv"
         write_score_csv(records, path)
@@ -262,8 +262,24 @@ class TestScoreCsv:
         assert "\r" not in body
         loaded = read_score_csv(path)
         assert [r.sample_id for r in loaded] == ["a", "b"]
-        assert loaded[1].score_filtered is None
         assert loaded == records
+
+    def test_round_trip_without_filtered_column(self, tmp_path):
+        records = [ScoreRecord("a", 1, 0.123456789012345, None, 0.25),
+                   ScoreRecord("b", 0, 1.5e-7, None, 0.75)]
+        path = tmp_path / "scores.csv"
+        write_score_csv(records, path)
+        assert read_score_csv(path) == records
+
+    def test_mixed_filtered_column_rejected(self, tmp_path):
+        records = [
+            ScoreRecord("a", 1, 0.123456789012345, 0.0012345, 0.25),
+            ScoreRecord("b", 0, 1.5e-7, None, 0.75),
+        ]
+        path = tmp_path / "scores.csv"
+        write_score_csv(records, path)
+        with pytest.raises(IngestionError, match=r"scores\.csv, line 3: score_filtered"):
+            read_score_csv(path)
 
     def test_floats_written_with_repr(self, tmp_path):
         records = [ScoreRecord("a", 1, 1.0 / 3.0, None, 0.1 + 0.2)]
@@ -283,7 +299,7 @@ class TestScoreCsv:
         with pytest.raises(IngestionError, match="score_filtered"):
             read_score_csv(path)
 
-    @pytest.mark.parametrize("row", ["a,1,oops,,0.25", "a,yes,0.5,,0.25", "a,1"])
+    @pytest.mark.parametrize("row", ["a,1,oops,,0.25", "a,yes,0.5,,0.25", "a,1", "a,2,0.5,,0.25"])
     def test_malformed_cell_rejected(self, tmp_path, row):
         path = tmp_path / "scores.csv"
         path.write_text("sample_id,membership,score_raw,score_filtered,hf_content\n" + row + "\n")

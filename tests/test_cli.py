@@ -151,17 +151,35 @@ class TestMalformedInputs:
         assert main(["attack", "--config", str(config_path)]) == 1
         assert "model.fmia" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("header, row", [
+    @pytest.mark.parametrize("header, rows", [
         ("sample_id,membership,score_raw,hf_content", "a,1,0.5,0.25"),
         ("sample_id,membership,score_raw,score_filtered,hf_content", "a,1,0.5,nan?,0.25"),
+        ("sample_id,membership,score_raw,score_filtered,hf_content",
+         "a,1,0.5,0.4,0.25\nb,0,0.7,,0.25"),
+        ("sample_id,membership,score_raw,score_filtered,hf_content",
+         "a,1,0.5,,0.25\nb,2,0.7,,0.25"),
     ])
-    def test_malformed_score_csv_exits_1(self, tmp_path, config_path, capsys, header, row):
+    def test_malformed_score_csv_exits_1(self, tmp_path, config_path, capsys, header, rows):
         out = tmp_path / "out"
         out.mkdir()
         for kind in ("naive", "pia", "secmi"):
-            (out / f"scores_{kind}.csv").write_text(f"{header}\n{row}\n")
+            (out / f"scores_{kind}.csv").write_text(f"{header}\n{rows}\n")
         assert main(["eval", "--config", str(config_path)]) == 1
         assert "scores_naive.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, model_value, config_value", [
+        ({"timesteps": 40}, "T=50", "T=40"),
+        ({"size": 16}, "(1, 8, 8)", "(1, 16, 16)"),
+    ])
+    def test_model_not_matching_config_exits_1(self, tmp_path, config_path, capsys,
+                                               override, model_value, config_value):
+        assert main(["train", "--config", str(config_path)]) == 0
+        tiny_config(tmp_path / "out", **override).to_file(tmp_path / "other.ini")
+        capsys.readouterr()
+        assert main(["attack", "--config", str(tmp_path / "other.ini")]) == 1
+        err = capsys.readouterr().err
+        assert "model.fmia" in err and model_value in err and config_value in err
+        assert not list((tmp_path / "out").glob("scores_*.csv"))
 
 
 class TestVerifyProp:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from freqmia.denoiser import (
     ToyDenoiser,
     TrainingConfig,
     batch_loss_and_grads,
+    layer_views,
     load_denoiser,
     save_denoiser,
     timestep_embedding,
@@ -43,6 +46,39 @@ def mean_loss(den, images, sched, timesteps, seed):
     return float(np.mean(losses))
 
 
+def per_layer_momentum_train(images, config, sched, hidden_sizes, emb_dim):
+    """Reference for train_toy_denoiser: the SGD loop with one weight array,
+    bias array and velocity per layer, updated out of place, as the
+    denoiser trained before its parameters became one vector."""
+    den = ToyDenoiser.initialize(images.shape[1:], hidden_sizes, emb_dim, sched.T, config.seed)
+    weights = [w.copy() for w in den.weights]
+    biases = [b.copy() for b in den.biases]
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+    rng = derive_rng(config.seed, "denoiser-train")
+    flat_dim = int(np.prod(images.shape[1:]))
+    trace = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(images))
+        losses = []
+        for start in range(0, len(images), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            t = rng.integers(0, sched.T, size=len(idx))
+            eps = rng.standard_normal((len(idx), flat_dim))
+            for view, own in zip(den.weights + den.biases, weights + biases):
+                view[...] = own
+            loss, grad = batch_loss_and_grads(den, images[idx], t, eps, sched)
+            w_grads, b_grads = layer_views(grad, den.layer_sizes)
+            for i in range(len(weights)):
+                vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * w_grads[i]
+                vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * b_grads[i]
+                weights[i] += vel_w[i]
+                biases[i] += vel_b[i]
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair]), trace
+
+
 class TestEmbedding:
     def test_shape_and_range(self):
         emb = timestep_embedding(np.array([0.0, 5.0, 999.0]), 16)
@@ -74,7 +110,21 @@ class TestToyDenoiser:
     def test_parameter_count_reported(self):
         den = ToyDenoiser.initialize((1, 4, 4), (10,), 4, 50, seed=0)
         # (16+4)x10 + 10 + 10x16 + 16
-        assert den.num_parameters == 20 * 10 + 10 + 10 * 16 + 16
+        assert den.params.size == 20 * 10 + 10 + 10 * 16 + 16
+
+    def test_layer_views_follow_fmia_order(self):
+        den = ToyDenoiser.initialize((1, 4, 4), (10,), 4, 50, seed=0)
+        weights, biases = layer_views(np.arange(float(den.params.size)), den.layer_sizes)
+        assert [w.shape for w in weights] == [(10, 20), (16, 10)]
+        assert weights[0][1, 0] == 20 and biases[0][0] == 200
+        assert weights[1][0, 0] == 210 and biases[1][-1] == den.params.size - 1
+        den.params[:] = np.arange(float(den.params.size))
+        for got, expected in zip(den.weights + den.biases, weights + biases):
+            assert np.array_equal(got, expected)
+
+    def test_params_not_matching_sizes_rejected(self):
+        with pytest.raises(ConfigurationError, match="layer sizes"):
+            ToyDenoiser(np.zeros(385), [20, 10, 16], (1, 4, 4), 4, 50)
 
     def test_wrong_input_shape_rejected(self):
         den = ToyDenoiser.initialize((1, 4, 4), (10,), 4, 50, seed=0)
@@ -86,7 +136,7 @@ class TestToyDenoiser:
         den = ToyDenoiser.initialize((1, 4, 4), (16,), 4, sched.T, seed=3)
         x0 = rng.standard_normal((1, 1, 4, 4))
         eps = rng.standard_normal((1, 1, 4, 4))
-        loss, _, _ = batch_loss_and_grads(den, x0, [7], eps, sched)
+        loss, _ = batch_loss_and_grads(den, x0, [7], eps, sched)
         eps_hat = den(q_sample(x0[0], 7, eps[0], sched), 7)
         assert loss == pytest.approx(np.mean((eps[0] - eps_hat) ** 2), abs=1e-12)
 
@@ -98,7 +148,8 @@ class TestGradients:
         x0 = rng.standard_normal((4, 1, 4, 4))
         eps = rng.standard_normal((4, 1, 4, 4))
         t = rng.integers(0, sched.T, size=4)
-        _, w_grads, b_grads = batch_loss_and_grads(den, x0, t, eps, sched)
+        _, grad = batch_loss_and_grads(den, x0, t, eps, sched)
+        w_grads, _ = layer_views(grad, den.layer_sizes)
 
         step = 1e-5
         checked = 0
@@ -107,9 +158,9 @@ class TestGradients:
             for idx in rng.choice(flat_w.size, size=5, replace=False):
                 original = flat_w[idx]
                 flat_w[idx] = original + step
-                up, _, _ = batch_loss_and_grads(den, x0, t, eps, sched)
+                up, _ = batch_loss_and_grads(den, x0, t, eps, sched)
                 flat_w[idx] = original - step
-                down, _, _ = batch_loss_and_grads(den, x0, t, eps, sched)
+                down, _ = batch_loss_and_grads(den, x0, t, eps, sched)
                 flat_w[idx] = original
                 fd = (up - down) / (2 * step)
                 an = w_grads[layer].ravel()[idx]
@@ -123,15 +174,16 @@ class TestGradients:
         x0 = rng.standard_normal((3, 1, 4, 4))
         eps = rng.standard_normal((3, 1, 4, 4))
         t = rng.integers(0, sched.T, size=3)
-        _, _, b_grads = batch_loss_and_grads(den, x0, t, eps, sched)
+        _, grad = batch_loss_and_grads(den, x0, t, eps, sched)
+        _, b_grads = layer_views(grad, den.layer_sizes)
         step = 1e-5
         for layer in range(len(den.biases)):
             idx = int(rng.integers(den.biases[layer].size))
             original = den.biases[layer][idx]
             den.biases[layer][idx] = original + step
-            up, _, _ = batch_loss_and_grads(den, x0, t, eps, sched)
+            up, _ = batch_loss_and_grads(den, x0, t, eps, sched)
             den.biases[layer][idx] = original - step
-            down, _, _ = batch_loss_and_grads(den, x0, t, eps, sched)
+            down, _ = batch_loss_and_grads(den, x0, t, eps, sched)
             den.biases[layer][idx] = original
             fd = (up - down) / (2 * step)
             assert abs(fd - b_grads[layer][idx]) / max(abs(fd), 1e-8) < 1e-4
@@ -182,6 +234,14 @@ class TestTraining:
         for wa, wb in zip(den_a.weights, den_b.weights):
             assert np.array_equal(wa, wb)
 
+    def test_matches_per_layer_momentum_reference(self, sched):
+        images = smooth_images(5, 8, seed=15)
+        config = TrainingConfig(epochs=3, batch_size=2, learning_rate=0.05, momentum=0.9, seed=6)
+        den, trace = train_toy_denoiser(images, config, sched, hidden_sizes=(16, 12), emb_dim=8)
+        ref_params, ref_trace = per_layer_momentum_train(images, config, sched, (16, 12), 8)
+        assert den.params.tobytes() == ref_params.tobytes()
+        assert trace == ref_trace
+
     def test_divergence_raises_with_epoch_index(self, sched):
         images = smooth_images(2, 8, seed=14)
         config = TrainingConfig(epochs=50, batch_size=2, learning_rate=1e12, seed=4)
@@ -223,9 +283,10 @@ class TestSerialization:
         save_denoiser(den, path)
         blob = path.read_bytes()
         assert blob[:4] == b"FMIA"
-        n_floats = den.num_parameters
+        n_floats = den.params.size
         sizes = den.layer_sizes
         assert len(blob) == 4 + 7 * 4 + len(sizes) * 4 + 8 * n_floats
+        assert blob[-8 * n_floats:] == den.params.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("keep", [10, 40, -8])
     def test_truncated_file_rejected(self, sched, tmp_path, keep):
@@ -234,6 +295,12 @@ class TestSerialization:
         save_denoiser(den, path)
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(IngestionError, match="model.fmia"):
+            load_denoiser(path)
+
+    def test_too_few_layer_sizes_rejected(self, tmp_path):
+        path = tmp_path / "one_layer.fmia"
+        path.write_bytes(b"FMIA" + struct.pack("<8I", 1, 50, 1, 4, 4, 4, 1, 20))
+        with pytest.raises(ConfigurationError, match="layer sizes"):
             load_denoiser(path)
 
     def test_bad_magic_rejected(self, tmp_path):

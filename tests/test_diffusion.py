@@ -83,8 +83,8 @@ def const_toy_denoiser(c, T):
     c whatever the input, so the training loss has a closed form."""
     c = np.asarray(c, dtype=np.float64)
     den = ToyDenoiser.initialize(c.shape, (4,), 4, T, seed=0)
-    den.weights = [np.zeros_like(w) for w in den.weights]
-    den.biases[-1] = c.ravel().copy()
+    den.params[:] = 0.0
+    den.biases[-1][:] = c.ravel()
     return den
 
 
@@ -97,14 +97,14 @@ class TestSimpleLoss:
         x0 = rng.standard_normal((1, 4, 4))
         eps = rng.standard_normal((1, 4, 4))
         den = const_toy_denoiser(eps, small_sched.T)
-        loss, _, _ = batch_loss_and_grads(den, x0[None], [7], eps[None], small_sched)
+        loss, _ = batch_loss_and_grads(den, x0[None], [7], eps[None], small_sched)
         assert loss == 0.0
 
     def test_zero_predictor_on_unit_noise(self, small_sched):
         x0 = np.zeros((1, 4, 4))
         eps = np.ones((1, 4, 4))
         den = const_toy_denoiser(np.zeros((1, 4, 4)), small_sched.T)
-        loss, _, _ = batch_loss_and_grads(den, x0[None], [7], eps[None], small_sched)
+        loss, _ = batch_loss_and_grads(den, x0[None], [7], eps[None], small_sched)
         assert loss == pytest.approx(1.0)
 
     def test_matches_elementwise_oracle(self, small_sched):
@@ -113,7 +113,7 @@ class TestSimpleLoss:
         eps = rng.standard_normal((1, 4, 4))
         pred = rng.standard_normal((1, 4, 4))
         den = const_toy_denoiser(pred, small_sched.T)
-        loss, _, _ = batch_loss_and_grads(den, x0[None], [12], eps[None], small_sched)
+        loss, _ = batch_loss_and_grads(den, x0[None], [12], eps[None], small_sched)
         assert abs(loss - np.mean((eps - pred) ** 2)) < 1e-10
 
 

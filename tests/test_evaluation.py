@@ -66,6 +66,19 @@ def tpr_at_fpr_oracle(member, holdout, budget):
     return best
 
 
+def broadcast_asr_roc(member, holdout):
+    """compute_asr and compute_roc by (thresholds x n) comparison matrices."""
+    distinct = np.unique(np.concatenate([member, holdout]))
+    taus = np.concatenate([[-np.inf], (distinct[:-1] + distinct[1:]) / 2.0, [np.inf]])
+    balanced = (np.mean(member[None, :] <= taus[:, None], axis=1)
+                + np.mean(holdout[None, :] > taus[:, None], axis=1)) / 2.0
+    best = int(np.argmax(balanced))
+    thresholds = np.concatenate([[-np.inf], distinct])
+    tpr = np.mean(member[None, :] <= thresholds[:, None], axis=1)
+    fpr = np.mean(holdout[None, :] <= thresholds[:, None], axis=1)
+    return float(balanced[best]), float(taus[best]), thresholds, fpr, tpr
+
+
 class TestAsr:
     def test_perfect_separation(self):
         records = make_records([0.1, 0.2], [0.3, 0.4])
@@ -141,6 +154,25 @@ class TestRocAuc:
         holdout = np.round(rng.normal(0.4, 1, n_h), 1)
         records = make_records(member, holdout)
         assert abs(auc(compute_roc(records)) - auc_oracle(member, holdout)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sorted_counts_match_broadcast_oracle(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n_m, n_h = rng.integers(1, 60, size=2)
+        member = np.round(rng.normal(0, 1, n_m), 1)  # rounding makes ties
+        holdout = np.round(rng.normal(0.3, 1, n_h), 1)
+        records = make_records(member, holdout)
+        asr, tau, thresholds, fpr, tpr = broadcast_asr_roc(member, holdout)
+        assert compute_asr(records) == (asr, tau)
+        curve = compute_roc(records)
+        for got, expected in ((curve.thresholds, thresholds), (curve.fpr, fpr), (curve.tpr, tpr)):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_nan_score_rejected(self):
+        records = make_records([0.1, math.nan], [0.3, 0.4])
+        for compute in (compute_asr, compute_roc):
+            with pytest.raises(EvaluationError, match="m001"):
+                compute(records)
 
     def test_monotone_transform_leaves_metrics_invariant(self):
         rng = np.random.default_rng(6)
