@@ -17,6 +17,7 @@ output order follows input order. The denoiser is only read.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -211,11 +212,19 @@ def write_score_csv(records, path) -> None:
                              _fmt(rec.score_filtered), _fmt(rec.hf_content)])
 
 
+def _finite(column: str, cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{column} must be finite, got {cell!r}")
+    return value
+
+
 def read_score_csv(path) -> list[ScoreRecord]:
     """Inverse of :func:`write_score_csv`. A missing column, a cell that
-    does not parse, a membership other than 0 or 1, a ``score_filtered``
-    column filled on some rows only, or a file without rows raises
-    :class:`IngestionError` naming the file."""
+    does not parse, a non-finite score or ``hf_content``, a membership
+    other than 0 or 1, a ``score_filtered`` column filled on some rows
+    only, or a file without rows raises :class:`IngestionError` naming the
+    file (and the line, for a bad row)."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -229,8 +238,9 @@ def read_score_csv(path) -> list[ScoreRecord]:
                 continue
             try:
                 sample_id, membership, raw, filtered, hf = (row[i] for i in columns)
-                record = ScoreRecord(sample_id, int(membership), float(raw),
-                                     float(filtered) if filtered else None, float(hf))
+                record = ScoreRecord(sample_id, int(membership), _finite("score_raw", raw),
+                                     _finite("score_filtered", filtered) if filtered else None,
+                                     _finite("hf_content", hf))
                 if record.membership not in (0, 1):
                     raise ValueError(f"membership must be 0 or 1, got {membership!r}")
                 if records and (not filtered) != (records[0].score_filtered is None):

@@ -20,6 +20,7 @@ so on. :func:`layer_views` is the only code that knows this layout.
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +82,14 @@ def timestep_embedding(t, dim: int) -> np.ndarray:
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     angles = t[..., None] * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
+
+
+@lru_cache(maxsize=8)
+def _embedding_table(T: int, dim: int) -> np.ndarray:
+    """Read-only (T, dim) table whose row t is ``timestep_embedding(t, dim)``."""
+    table = timestep_embedding(np.arange(T), dim)
+    table.flags.writeable = False
+    return table
 
 
 def _param_count(sizes) -> int:
@@ -147,15 +156,21 @@ class ToyDenoiser:
         return acts
 
     def predict_batch(self, x_flat: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Noise predictions for flattened inputs (B, pixels) at timesteps (B,)."""
-        emb = timestep_embedding(np.asarray(t, dtype=np.float64), self.emb_dim)
+        """Noise predictions for flattened inputs (B, pixels) at integer
+        timesteps (B,), each in ``[0, T)``."""
+        t = np.asarray(t)
+        steps = t.tolist()  # Python ints compare faster than array reductions at B=1
+        if t.dtype.kind not in "iu" or t.ndim != 1 or (
+                steps and not 0 <= min(steps) <= max(steps) < self.T):
+            raise ContractViolation(f"timesteps must be integers in [0, {self.T}), got {t}")
+        emb = _embedding_table(self.T, self.emb_dim)[t]
         return self._forward_batch(np.concatenate([x_flat, emb], axis=1))[-1]
 
     def __call__(self, x, t: int) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.image_shape:
             raise ContractViolation(f"input shape {x.shape} != model shape {self.image_shape}")
-        out = self.predict_batch(x.reshape(1, -1), np.array([int(t)]))
+        out = self.predict_batch(x.reshape(1, -1), np.array([t]))
         return out.reshape(self.image_shape)
 
 
@@ -169,9 +184,8 @@ def batch_loss_and_grads(den: ToyDenoiser, x0_batch, t_batch, eps_batch, sched: 
     x0 = np.asarray(x0_batch, dtype=np.float64).reshape(len(x0_batch), -1)
     eps = np.asarray(eps_batch, dtype=np.float64).reshape(len(eps_batch), -1)
     t = np.asarray(t_batch, dtype=np.int64)
-    abar = sched.alpha_bar[t][:, None]
-    x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
-    inputs = np.concatenate([x_t, timestep_embedding(t.astype(np.float64), den.emb_dim)], axis=1)
+    x_t = sched.sqrt_abar[t][:, None] * x0 + sched.sqrt_one_minus_abar[t][:, None] * eps
+    inputs = np.concatenate([x_t, _embedding_table(den.T, den.emb_dim)[t]], axis=1)
 
     acts = den._forward_batch(inputs)
     pred = acts[-1]

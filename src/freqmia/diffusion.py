@@ -11,6 +11,7 @@ image space.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,10 @@ class NoiseSchedule:
     of ``alpha`` up to and including t. Instances built by
     :func:`linear_schedule` satisfy the validity checks in
     :meth:`validate`; tests may construct degenerate schedules directly.
+
+    ``sqrt_abar`` and ``sqrt_one_minus_abar`` are the read-only tables
+    ``sqrt(alpha_bar)`` and ``sqrt(1 - alpha_bar)``, built on first use;
+    every formula here indexes them instead of taking roots per call.
     """
 
     T: int
@@ -59,6 +64,18 @@ class NoiseSchedule:
         recomputed = np.cumprod(self.alpha)
         if np.max(np.abs(recomputed - self.alpha_bar)) > 1e-12:
             raise ConfigurationError("alpha_bar inconsistent with cumulative product of alpha")
+
+    @cached_property
+    def sqrt_abar(self) -> np.ndarray:
+        root = np.sqrt(self.alpha_bar)
+        root.flags.writeable = False
+        return root
+
+    @cached_property
+    def sqrt_one_minus_abar(self) -> np.ndarray:
+        root = np.sqrt(1.0 - self.alpha_bar)
+        root.flags.writeable = False
+        return root
 
 
 def linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
@@ -89,17 +106,15 @@ def q_sample(x0, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != x0.shape:
         raise ContractViolation(f"eps shape {eps.shape} != x0 shape {x0.shape}")
-    abar = sched.alpha_bar[t]
-    return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
+    return sched.sqrt_abar[t] * x0 + sched.sqrt_one_minus_abar[t] * eps
 
 
 def predict_x0(x_t, eps_hat, t: int, sched: NoiseSchedule) -> np.ndarray:
     """Invert q_sample given a noise estimate: (x_t - sqrt(1-abar_t) eps) / sqrt(abar_t)."""
     t = _check_t(t, sched)
-    abar = sched.alpha_bar[t]
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    return (x_t - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
+    return (x_t - sched.sqrt_one_minus_abar[t] * eps_hat) / sched.sqrt_abar[t]
 
 
 def _ddim_step(x, t_src: int, t_dst: int, denoiser, sched: NoiseSchedule) -> np.ndarray:
@@ -108,9 +123,8 @@ def _ddim_step(x, t_src: int, t_dst: int, denoiser, sched: NoiseSchedule) -> np.
     eps_hat = np.asarray(denoiser(x, int(t_src)), dtype=np.float64)
     if eps_hat.shape != x.shape:
         raise ContractViolation(f"denoiser output shape {eps_hat.shape} != state shape {x.shape}")
-    abar_dst = sched.alpha_bar[t_dst]
     x0_hat = predict_x0(x, eps_hat, t_src, sched)
-    return np.sqrt(abar_dst) * x0_hat + np.sqrt(1.0 - abar_dst) * eps_hat
+    return sched.sqrt_abar[t_dst] * x0_hat + sched.sqrt_one_minus_abar[t_dst] * eps_hat
 
 
 def _ladder(s: int, t: int, stride: int, sched: NoiseSchedule) -> list[int]:

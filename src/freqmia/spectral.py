@@ -6,11 +6,18 @@ the same shape with the zero-frequency (DC) coefficient stored at the grid
 center ``(H // 2, W // 2)``, so a coefficient's distance from the center is
 directly its frequency radius.
 
-All functions are pure and hold no state; they are safe to call from many
-threads concurrently.
+:func:`apply_filter` and :func:`high_frequency_content` never shift: they
+work on the unshifted spectrum, multiplying it by a mask cached already
+``ifftshift``-ed and summing power through a cached fftshift permutation,
+so their results are bit for bit those of the centered formulas.
+
+All functions are pure; the only state is the read-only masks and index
+tables cached per shape, so they are safe to call from many threads
+concurrently.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,15 +99,48 @@ def build_mask(filt: FilterSpec, height: int, width: int) -> np.ndarray:
     return np.where(r > filt.r_t, filt.s, 1.0)
 
 
+def _fft2(arr: np.ndarray) -> np.ndarray:
+    """The two 1-D passes ``np.fft.fft2`` makes over the last two axes."""
+    return np.fft.fft(np.fft.fft(arr, axis=-1), axis=-2)
+
+
+def _ifft2(spec: np.ndarray) -> np.ndarray:
+    """The two 1-D passes ``np.fft.ifft2`` makes over the last two axes."""
+    return np.fft.ifft(np.fft.ifft(spec, axis=-1), axis=-2)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=64)
+def _unshifted_mask(filt: FilterSpec, height: int, width: int) -> np.ndarray:
+    """:func:`build_mask` moved to the unshifted (DC at ``[0, 0]``) layout."""
+    return _read_only(np.fft.ifftshift(build_mask(filt, height, width)))
+
+
+@lru_cache(maxsize=64)
+def _band_indices(height: int, width: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into an unshifted (H, W) spectrum: every coefficient in
+    fftshift order, and the coefficients beyond ``radius`` in that order."""
+    order = np.fft.fftshift(np.arange(height * width).reshape(height, width))
+    high = order[radial_grid(height, width) > radius]
+    return _read_only(order.ravel()), _read_only(high)
+
+
 def apply_filter(image, filt: FilterSpec) -> np.ndarray:
     """Attenuate the image's high-frequency band: IFFT(FFT(x) * mask).
 
     Applied per channel; linear in the image. ``s = 1`` reproduces the
-    input to within round-off.
+    input to within round-off. The mask is cached per (filter, H, W) in
+    unshifted layout and is read-only, so concurrent calls are safe.
     """
-    spec = forward_dft(image)
-    mask = build_mask(filt, spec.shape[-2], spec.shape[-1])
-    return inverse_dft(spec * mask)
+    arr = _check_image(image)
+    spec = _fft2(arr) * _unshifted_mask(filt, arr.shape[-2], arr.shape[-1])
+    if not np.all(np.isfinite(spec)):
+        raise ContractViolation("spectrum contains non-finite values")
+    return _ifft2(spec).real
 
 
 def high_frequency_content(image, boundary_radius: float) -> float:
@@ -109,13 +149,19 @@ def high_frequency_content(image, boundary_radius: float) -> float:
     Energy is the squared coefficient magnitude summed over all channels.
     An all-zero image has no energy to partition and returns 0 by
     convention. The result is invariant under global intensity scaling.
+    Both sums add in the order of the centered spectrum, through index
+    tables cached per (H, W, radius); the tables are read-only, so
+    concurrent calls are safe.
     """
     if not boundary_radius >= 0.0:
         raise ContractViolation(f"boundary radius must be >= 0, got {boundary_radius}")
-    spec = forward_dft(image)
-    power = np.abs(spec) ** 2
-    total = float(power.sum())
+    arr = _check_image(image)
+    height, width = arr.shape[-2:]
+    power = (np.abs(_fft2(arr)) ** 2).reshape(*arr.shape[:-2], height * width)
+    order, high = _band_indices(height, width, boundary_radius)
+    # np.take yields the C-ordered array fftshift would; the boolean pick
+    # of the centered formula and the fancy index below share one layout
+    total = float(np.take(power, order, axis=-1).reshape(arr.shape).sum())
     if total == 0.0:
         return 0.0
-    high = radial_grid(spec.shape[-2], spec.shape[-1]) > boundary_radius
     return float(power[..., high].sum() / total)

@@ -32,6 +32,8 @@ from freqmia.spectral import forward_dft, inverse_dft
 from test_evaluation import asr_oracle, auc_oracle, make_records, tpr_at_fpr_oracle
 from test_spectral import dft_oracle
 
+pytestmark = pytest.mark.slow
+
 SEEDS = (0, 1, 2)
 ATTACKS = ("naive", "pia", "secmi")
 

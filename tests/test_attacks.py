@@ -299,6 +299,18 @@ class TestScoreCsv:
         with pytest.raises(IngestionError, match="score_filtered"):
             read_score_csv(path)
 
+    @pytest.mark.parametrize("row, column", [
+        ("a,1,nan,,0.25", "score_raw"),
+        ("a,1,0.5,inf,0.25", "score_filtered"),
+        ("a,1,0.5,0.4,-inf", "hf_content"),
+    ])
+    def test_non_finite_cell_rejected(self, tmp_path, row, column):
+        path = tmp_path / "scores.csv"
+        path.write_text("sample_id,membership,score_raw,score_filtered,hf_content\n"
+                        "b,0,0.7,0.6,0.25\n" + row + "\n")
+        with pytest.raises(IngestionError, match=rf"scores\.csv, line 3: {column} must be finite"):
+            read_score_csv(path)
+
     @pytest.mark.parametrize("row", ["a,1,oops,,0.25", "a,yes,0.5,,0.25", "a,1", "a,2,0.5,,0.25"])
     def test_malformed_cell_rejected(self, tmp_path, row):
         path = tmp_path / "scores.csv"

@@ -158,6 +158,8 @@ class TestMalformedInputs:
          "a,1,0.5,0.4,0.25\nb,0,0.7,,0.25"),
         ("sample_id,membership,score_raw,score_filtered,hf_content",
          "a,1,0.5,,0.25\nb,2,0.7,,0.25"),
+        ("sample_id,membership,score_raw,score_filtered,hf_content",
+         "a,1,0.5,0.4,0.25\nb,0,nan,0.6,0.25"),
     ])
     def test_malformed_score_csv_exits_1(self, tmp_path, config_path, capsys, header, rows):
         out = tmp_path / "out"

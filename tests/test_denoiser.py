@@ -6,6 +6,7 @@ import pytest
 from freqmia.denoiser import (
     ToyDenoiser,
     TrainingConfig,
+    _embedding_table,
     batch_loss_and_grads,
     layer_views,
     load_denoiser,
@@ -79,6 +80,39 @@ def per_layer_momentum_train(images, config, sched, hidden_sizes, emb_dim):
     return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair]), trace
 
 
+def per_step_root_and_embedding_train(images, config, sched, hidden_sizes, emb_dim):
+    """Reference for train_toy_denoiser: the SGD loop with the noising roots
+    and the timestep embedding computed afresh on every step, as the
+    denoiser trained before it read them from precomputed tables."""
+    den = ToyDenoiser.initialize(images.shape[1:], hidden_sizes, emb_dim, sched.T, config.seed)
+    rng = derive_rng(config.seed, "denoiser-train")
+    vel = np.zeros_like(den.params)
+    flat_dim = int(np.prod(images.shape[1:]))
+    for _ in range(config.epochs):
+        order = rng.permutation(len(images))
+        for start in range(0, len(images), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            t = rng.integers(0, sched.T, size=len(idx))
+            eps = rng.standard_normal((len(idx), flat_dim))
+            abar = sched.alpha_bar[t][:, None]
+            x_t = np.sqrt(abar) * images[idx].reshape(len(idx), -1) + np.sqrt(1.0 - abar) * eps
+            emb = timestep_embedding(t.astype(np.float64), emb_dim)
+            acts = den._forward_batch(np.concatenate([x_t, emb], axis=1))
+            grad = np.empty_like(den.params)
+            w_grads, b_grads = layer_views(grad, den.layer_sizes)
+            diff = acts[-1] - eps
+            delta = 2.0 * diff / diff.size
+            for i in range(len(den.weights) - 1, -1, -1):
+                w_grads[i][...] = delta.T @ acts[i]
+                b_grads[i][...] = delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ den.weights[i]) * (1.0 - acts[i] ** 2)
+            vel *= config.momentum
+            vel -= config.learning_rate * grad
+            den.params += vel
+    return den.params
+
+
 class TestEmbedding:
     def test_shape_and_range(self):
         emb = timestep_embedding(np.array([0.0, 5.0, 999.0]), 16)
@@ -93,6 +127,13 @@ class TestEmbedding:
     def test_odd_dim_rejected(self):
         with pytest.raises(ConfigurationError):
             timestep_embedding(0.0, 7)
+
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    def test_table_rows_match_per_call_embedding(self, dim):
+        table = _embedding_table(1000, dim)
+        assert table.shape == (1000, dim) and not table.flags.writeable
+        for t in range(1000):
+            assert np.array_equal(table[t], timestep_embedding(t, dim))
 
 
 class TestToyDenoiser:
@@ -125,6 +166,25 @@ class TestToyDenoiser:
     def test_params_not_matching_sizes_rejected(self):
         with pytest.raises(ConfigurationError, match="layer sizes"):
             ToyDenoiser(np.zeros(385), [20, 10, 16], (1, 4, 4), 4, 50)
+
+    @pytest.mark.parametrize("t", [-1, 50, 2.5, 3.0])
+    def test_timestep_outside_contract_rejected(self, t):
+        den = ToyDenoiser.initialize((1, 4, 4), (10,), 4, 50, seed=0)
+        with pytest.raises(ContractViolation, match="timestep"):
+            den(np.zeros((1, 4, 4)), t)
+        with pytest.raises(ContractViolation, match="timestep"):
+            den.predict_batch(np.zeros((1, 16)), np.array([t]))
+
+    def test_numpy_integer_timesteps_accepted(self):
+        den = ToyDenoiser.initialize((1, 4, 4), (10,), 4, 50, seed=0)
+        x = np.random.default_rng(4).standard_normal((1, 4, 4))
+        assert np.array_equal(den(x, np.int32(49)), den(x, 49))
+        row = den.predict_batch(x.reshape(1, -1), np.array([49], dtype=np.uint16))
+        assert np.array_equal(row, den(x, 49).reshape(1, -1))
+
+    def test_embedding_table_not_built_at_construction(self):
+        # a T as large as a malformed FMIA header can carry must not allocate
+        ToyDenoiser.initialize((1, 4, 4), (10,), 4, 2**32 - 1, seed=0)
 
     def test_wrong_input_shape_rejected(self):
         den = ToyDenoiser.initialize((1, 4, 4), (10,), 4, 50, seed=0)
@@ -241,6 +301,13 @@ class TestTraining:
         ref_params, ref_trace = per_layer_momentum_train(images, config, sched, (16, 12), 8)
         assert den.params.tobytes() == ref_params.tobytes()
         assert trace == ref_trace
+
+    def test_matches_per_step_root_and_embedding_reference(self, sched):
+        images = smooth_images(5, 8, seed=16)
+        config = TrainingConfig(epochs=3, batch_size=2, learning_rate=0.05, momentum=0.9, seed=7)
+        den, _ = train_toy_denoiser(images, config, sched, hidden_sizes=(16,), emb_dim=8)
+        ref_params = per_step_root_and_embedding_train(images, config, sched, (16,), 8)
+        assert den.params.tobytes() == ref_params.tobytes()
 
     def test_divergence_raises_with_epoch_index(self, sched):
         images = smooth_images(2, 8, seed=14)

@@ -46,6 +46,25 @@ class TestLinearSchedule:
         assert np.all((sched.alpha_bar > 0) & (sched.alpha_bar < 1))
 
 
+class TestRootTables:
+    def test_tables_match_scalar_roots(self, std_sched):
+        for t in range(std_sched.T):
+            abar = std_sched.alpha_bar[t]
+            assert std_sched.sqrt_abar[t] == np.sqrt(abar)
+            assert std_sched.sqrt_one_minus_abar[t] == np.sqrt(1.0 - abar)
+
+    def test_tables_cached_and_read_only(self, small_sched):
+        assert small_sched.sqrt_abar is small_sched.sqrt_abar
+        for table in (small_sched.sqrt_abar, small_sched.sqrt_one_minus_abar):
+            assert not table.flags.writeable
+
+    def test_directly_built_schedule_has_tables(self):
+        sched = NoiseSchedule(T=2, beta=np.array([0.0, 0.4375]), alpha=np.array([1.0, 0.5625]),
+                              alpha_bar=np.array([1.0, 0.5625]))
+        assert np.array_equal(sched.sqrt_abar, [1.0, 0.75])
+        assert np.array_equal(sched.sqrt_one_minus_abar, [0.0, np.sqrt(0.4375)])
+
+
 class TestQSample:
     def test_alpha_bar_one_returns_x0_exactly(self):
         sched = NoiseSchedule(T=2, beta=np.array([0.0, 0.1]),

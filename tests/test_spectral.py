@@ -4,6 +4,9 @@ import pytest
 from freqmia.errors import ConfigurationError, ContractViolation
 from freqmia.spectral import (
     FilterSpec,
+    _fft2,
+    _ifft2,
+    _unshifted_mask,
     apply_filter,
     build_mask,
     forward_dft,
@@ -45,6 +48,33 @@ def dft_quad_loop(img):
         for v in range(w):
             centered[u, v] = standard[(u - h // 2) % h, (v - w // 2) % w]
     return centered
+
+
+def centered_radii(h, w):
+    u = np.arange(h)[:, None] - h // 2
+    v = np.arange(w)[None, :] - w // 2
+    return np.sqrt(u.astype(np.float64) ** 2 + v.astype(np.float64) ** 2)
+
+
+def centered_filter(img, s, r_t):
+    """The filter as computed on the centered spectrum: shift, mask, shift
+    back; the cached path must reproduce it bit for bit."""
+    spec = np.fft.fftshift(np.fft.fft2(img, axes=(-2, -1)), axes=(-2, -1))
+    masked = spec * np.where(centered_radii(*img.shape[-2:]) > r_t, s, 1.0)
+    return np.fft.ifft2(np.fft.ifftshift(masked, axes=(-2, -1)), axes=(-2, -1)).real
+
+
+def centered_hf_content(img, radius):
+    """High-frequency share summed over the centered power spectrum."""
+    spec = np.fft.fftshift(np.fft.fft2(img, axes=(-2, -1)), axes=(-2, -1))
+    power = np.abs(spec) ** 2
+    total = float(power.sum())
+    if total == 0.0:
+        return 0.0
+    return float(power[..., centered_radii(*img.shape[-2:]) > radius].sum() / total)
+
+
+CACHED_SHAPES = [(16, 16), (15, 17), (3, 8, 8)]
 
 
 def band_energy_oracle(img, radius):
@@ -259,3 +289,43 @@ class TestHighFrequencyContent:
             power = np.abs(spec) ** 2
             low = power[radial_grid(16, 16) <= boundary].sum()
             assert abs(low / power.sum() + high - 1.0) < 1e-6
+
+
+class TestCachedPathsAreBitwise:
+    @pytest.mark.parametrize("shape", CACHED_SHAPES)
+    def test_fft_passes_match_numpy_2d(self, shape):
+        img = np.random.default_rng(sum(shape)).standard_normal(shape)
+        spec = _fft2(img)
+        assert np.array_equal(spec, np.fft.fft2(img, axes=(-2, -1)))
+        assert np.array_equal(_ifft2(spec), np.fft.ifft2(spec, axes=(-2, -1)))
+
+    @pytest.mark.parametrize("shape", CACHED_SHAPES)
+    @pytest.mark.parametrize("s", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("r_t", [0.0, 2.0, 5.0])
+    def test_filter_matches_centered_formula(self, shape, s, r_t):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(10):  # every call after the first reads the cached mask
+            img = rng.standard_normal(shape)
+            expected = centered_filter(img, s, r_t)
+            assert np.array_equal(apply_filter(img, FilterSpec(s=s, r_t=r_t)), expected)
+
+    @pytest.mark.parametrize("shape", CACHED_SHAPES)
+    @pytest.mark.parametrize("radius", [0.0, 2.0, 5.0])
+    def test_hf_content_matches_centered_sums(self, shape, radius):
+        # summing in unshifted order changes about a third of these sums in
+        # the last bit, so ten images per case expose it
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(10):
+            img = rng.standard_normal(shape)
+            assert high_frequency_content(img, radius) == centered_hf_content(img, radius)
+
+    def test_cached_mask_is_read_only_and_unshifted(self):
+        filt = FilterSpec(s=0.2, r_t=2.0)
+        mask = _unshifted_mask(filt, 15, 17)
+        assert not mask.flags.writeable
+        assert np.array_equal(np.fft.fftshift(mask), build_mask(filt, 15, 17))
+
+    def test_non_finite_spectrum_rejected(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractViolation, match="spectrum"):
+                apply_filter(np.full((4, 4), 1e308), FilterSpec(s=0.5, r_t=0.0))
