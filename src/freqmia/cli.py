@@ -28,7 +28,7 @@ from pathlib import Path
 from .attacks import read_score_csv
 from .datasets import export_pgm_dir, generate_dataset
 from .denoiser import load_denoiser
-from .errors import ConfigurationError, FreqMiaError, IngestionError
+from .errors import ConfigurationError, EvaluationError, FreqMiaError, IngestionError
 from .evaluation import PropositionInputs, proposition_mc_verify
 from .experiment import (
     ExperimentConfig,
@@ -137,10 +137,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify_prop(args) -> int:
-    inputs = PropositionInputs(l_m=args.lm, l_h=args.lh, h_m=args.hm, h_h=args.hh)
-    report = proposition_mc_verify(inputs, n_samples=args.n_samples,
-                                   seed=args.seed if args.seed is not None else 0,
-                                   n_trials=args.n_trials)
+    # every input comes from a flag, so an invalid one is a bad flag (exit 1)
+    try:
+        inputs = PropositionInputs(l_m=args.lm, l_h=args.lh, h_m=args.hm, h_h=args.hh)
+        report = proposition_mc_verify(inputs, n_samples=args.n_samples,
+                                       seed=args.seed if args.seed is not None else 0,
+                                       n_trials=args.n_trials)
+    except EvaluationError as exc:
+        raise ConfigurationError(str(exc)) from exc
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0
 
@@ -156,16 +160,39 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _read_report_metrics(path) -> dict:
+    """The metrics JSON that ``report`` shows, checked for the fields it
+    prints; :class:`IngestionError` naming the file otherwise."""
+    try:
+        with open(path) as fh:
+            metrics = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise IngestionError(f"{path}: not a metrics JSON file ({exc})") from exc
+    if not isinstance(metrics, dict):
+        raise IngestionError(f"{path}: expected a JSON object")
+    for key in ("asr", "auc", "tpr_at_1pct_fpr", "sigma_ratio"):
+        if key not in metrics:
+            raise IngestionError(f"{path}: no {key!r} field")
+        value = metrics[key]
+        if not (value is None and key == "sigma_ratio") and (
+                isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise IngestionError(f"{path}: {key!r} is {value!r}, not a number")
+    return metrics
+
+
 def _cmd_report(args) -> int:
     out = Path(args.out if args.out else "out")
     metric_files = sorted(out.glob("metrics_*.json"))
     if not metric_files:
         raise ConfigurationError(f"no metrics_*.json found in {out}")
-    print(f"{'attack':<10} {'variant':<10} {'asr':>8} {'auc':>8} {'tpr@1%':>8} {'sigma_h/m':>10}")
+    rows = []
     for path in metric_files:
-        with open(path) as fh:
-            metrics = json.load(fh)
+        if path.stem.count("_") < 2:
+            raise IngestionError(f"{path}: not named metrics_<attack>_<variant>.json")
         _, kind, variant = path.stem.split("_", 2)
+        rows.append((kind, variant, _read_report_metrics(path)))
+    print(f"{'attack':<10} {'variant':<10} {'asr':>8} {'auc':>8} {'tpr@1%':>8} {'sigma_h/m':>10}")
+    for kind, variant, metrics in rows:
         ratio = metrics["sigma_ratio"]
         ratio_cell = f"{ratio:>10.4f}" if ratio is not None else f"{'n/a':>10}"
         print(f"{kind:<10} {variant:<10} {metrics['asr']:>8.4f} {metrics['auc']:>8.4f} "

@@ -5,7 +5,8 @@ embedding through tanh hidden layers to a noise prediction of the image's
 shape. It is deliberately tiny: the point is a denoiser that can be driven
 into overfitting a small member set, deterministically, with no framework
 dependence. Gradients are computed by manual backpropagation and the
-optimizer is plain SGD with optional momentum.
+optimizer is plain SGD with optional momentum. Training computes in float32
+and returns float64 parameters; prediction and weight files are float64.
 
 Weight files ("FMIA" format, version 1) are flat little-endian binaries:
 
@@ -24,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diffusion import NoiseSchedule
+from .diffusion import NoiseSchedule, check_timesteps
 from .errors import ConfigurationError, ContractViolation, IngestionError, TrainingError
 from .seeding import derive_rng
 
@@ -85,9 +86,10 @@ def timestep_embedding(t, dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _embedding_table(T: int, dim: int) -> np.ndarray:
-    """Read-only (T, dim) table whose row t is ``timestep_embedding(t, dim)``."""
-    table = timestep_embedding(np.arange(T), dim)
+def _embedding_table(T: int, dim: int, dtype) -> np.ndarray:
+    """Read-only (T, dim) table whose row t is ``timestep_embedding(t, dim)``
+    cast to ``dtype``."""
+    table = timestep_embedding(np.arange(T), dim).astype(dtype, copy=False)
     table.flags.writeable = False
     return table
 
@@ -115,11 +117,14 @@ class ToyDenoiser:
     Satisfies the denoiser contract: calling an instance with an image of
     shape ``image_shape`` and an integer timestep returns a same-shaped
     noise prediction. Evaluation is read-only and thread-safe. ``weights``
-    and ``biases`` are views into the one parameter vector ``params``.
+    and ``biases`` are views into the one parameter vector ``params``, which
+    is float64, or float32 when given float32 (training's working copy).
     """
 
     def __init__(self, params, layer_sizes, image_shape, emb_dim: int, T: int):
-        self.params = np.ascontiguousarray(params, dtype=np.float64)
+        params = np.asarray(params)
+        self.params = np.ascontiguousarray(
+            params, dtype=np.float32 if params.dtype == np.float32 else np.float64)
         self.layer_sizes = [int(s) for s in layer_sizes]
         self.image_shape = tuple(int(d) for d in image_shape)
         self.emb_dim = int(emb_dim)
@@ -144,6 +149,11 @@ class ToyDenoiser:
             weight[...] = rng.standard_normal(weight.shape) * np.sqrt(2.0 / sum(weight.shape))
         return cls(params, sizes, image_shape, emb_dim, T)
 
+    def astype(self, dtype) -> "ToyDenoiser":
+        """A copy of the model with its parameters cast to ``dtype``."""
+        return ToyDenoiser(self.params.astype(dtype), self.layer_sizes, self.image_shape,
+                           self.emb_dim, self.T)
+
     def _forward_batch(self, inputs: np.ndarray) -> list[np.ndarray]:
         """Activations per layer for a (B, in) batch; last entry is the output."""
         acts = [inputs]
@@ -158,12 +168,8 @@ class ToyDenoiser:
     def predict_batch(self, x_flat: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Noise predictions for flattened inputs (B, pixels) at integer
         timesteps (B,), each in ``[0, T)``."""
-        t = np.asarray(t)
-        steps = t.tolist()  # Python ints compare faster than array reductions at B=1
-        if t.dtype.kind not in "iu" or t.ndim != 1 or (
-                steps and not 0 <= min(steps) <= max(steps) < self.T):
-            raise ContractViolation(f"timesteps must be integers in [0, {self.T}), got {t}")
-        emb = _embedding_table(self.T, self.emb_dim)[t]
+        t = check_timesteps(np.asarray(t), self.T)
+        emb = _embedding_table(self.T, self.emb_dim, self.params.dtype)[t]
         return self._forward_batch(np.concatenate([x_flat, emb], axis=1))[-1]
 
     def __call__(self, x, t: int) -> np.ndarray:
@@ -177,20 +183,24 @@ class ToyDenoiser:
 def batch_loss_and_grads(den: ToyDenoiser, x0_batch, t_batch, eps_batch, sched: NoiseSchedule):
     """MSE loss on a noised batch and its gradients w.r.t. every parameter.
 
-    Returns ``(loss, grad)``: the mean squared error between the drawn and
-    the predicted noise over all elements of the batch, and its gradient as
-    one vector laid out like ``den.params``.
+    Computes in the dtype of ``den.params``. Returns ``(loss, grad)``: the
+    mean squared error between the drawn and the predicted noise over all
+    elements of the batch, averaged in float64, and its gradient as one
+    vector laid out like ``den.params``, in its dtype. Timesteps follow the
+    contract of :meth:`ToyDenoiser.predict_batch`.
     """
-    x0 = np.asarray(x0_batch, dtype=np.float64).reshape(len(x0_batch), -1)
-    eps = np.asarray(eps_batch, dtype=np.float64).reshape(len(eps_batch), -1)
-    t = np.asarray(t_batch, dtype=np.int64)
-    x_t = sched.sqrt_abar[t][:, None] * x0 + sched.sqrt_one_minus_abar[t][:, None] * eps
-    inputs = np.concatenate([x_t, _embedding_table(den.T, den.emb_dim)[t]], axis=1)
+    dtype = den.params.dtype
+    x0 = np.asarray(x0_batch, dtype=dtype).reshape(len(x0_batch), -1)
+    eps = np.asarray(eps_batch, dtype=dtype).reshape(len(eps_batch), -1)
+    t = check_timesteps(np.asarray(t_batch), den.T)
+    x_t = (sched.sqrt_abar[t].astype(dtype, copy=False)[:, None] * x0
+           + sched.sqrt_one_minus_abar[t].astype(dtype, copy=False)[:, None] * eps)
+    inputs = np.concatenate([x_t, _embedding_table(den.T, den.emb_dim, dtype)[t]], axis=1)
 
     acts = den._forward_batch(inputs)
     pred = acts[-1]
     diff = pred - eps
-    loss = float(np.mean(diff**2))
+    loss = float(np.mean(diff**2, dtype=np.float64))
 
     grad = np.empty_like(den.params)
     w_grads, b_grads = layer_views(grad, den.layer_sizes)
@@ -209,14 +219,17 @@ def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
 
     Returns ``(denoiser, loss_trace)`` where the trace holds one mean batch
     loss per epoch. Two calls with the same arguments produce identical
-    weights and traces. Raises :class:`TrainingError` with the epoch index
-    if the loss stops being finite.
+    weights and traces. The images, noise, parameters, velocity and
+    gradients are float32; the returned model holds those parameters as
+    float64. Raises :class:`TrainingError` with the epoch index if the loss
+    stops being finite.
     """
-    images = np.asarray(dataset, dtype=np.float64)
+    images = np.asarray(dataset, dtype=np.float32)
     if images.ndim < 3 or images.shape[0] == 0:
         raise ConfigurationError("dataset must be a nonempty array of images")
     n = images.shape[0]
-    den = ToyDenoiser.initialize(images.shape[1:], hidden_sizes, emb_dim, sched.T, config.seed)
+    den = ToyDenoiser.initialize(images.shape[1:], hidden_sizes, emb_dim, sched.T,
+                                 config.seed).astype(np.float32)
     rng = derive_rng(config.seed, "denoiser-train")
     vel = np.zeros_like(den.params)
     flat_dim = int(np.prod(images.shape[1:]))
@@ -228,16 +241,17 @@ def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             t = rng.integers(0, sched.T, size=len(idx))
-            eps = rng.standard_normal((len(idx), flat_dim))
+            eps = rng.standard_normal((len(idx), flat_dim), dtype=np.float32)
             loss, grad = batch_loss_and_grads(den, images[idx], t, eps, sched)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
+            grad *= config.learning_rate
             vel *= config.momentum
-            vel -= config.learning_rate * grad
+            vel -= grad
             den.params += vel
             epoch_losses.append(loss)
         trace.append(float(np.mean(epoch_losses)))
-    return den, trace
+    return den.astype(np.float64), trace
 
 
 def save_denoiser(den: ToyDenoiser, path) -> None:

@@ -2,7 +2,8 @@
 
 A denoiser is any callable ``eps_hat = denoiser(x_t, t)`` mapping a noised
 image and an integer timestep to a noise prediction of the same shape.
-Timesteps index the schedule arrays directly: ``0 <= t < T``.
+Timesteps index the schedule arrays directly: ``0 <= t < T``, the contract
+:func:`check_timesteps` enforces for this module and the denoiser.
 
 All stepping here is the eta = 0 (deterministic) variant, composed into
 strided chains; a chain with ``stride=1`` takes single steps.
@@ -20,6 +21,7 @@ from .errors import ConfigurationError, ContractViolation
 __all__ = [
     "NoiseSchedule",
     "linear_schedule",
+    "check_timesteps",
     "q_sample",
     "predict_x0",
     "ddim_reverse_chain",
@@ -91,17 +93,30 @@ def linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule
     return sched
 
 
-def _check_t(t: int, sched: NoiseSchedule, lo: int = 0, hi: int | None = None) -> int:
-    hi = sched.T - 1 if hi is None else hi
-    t = int(t)
-    if not lo <= t <= hi:
-        raise ContractViolation(f"timestep {t} outside [{lo}, {hi}]")
-    return t
+def check_timesteps(t, T: int):
+    """The package's one timestep contract: integers in ``[0, T)``.
+
+    ``t`` is a Python or numpy integer, returned as a Python int, or a 1-D
+    numpy integer array, returned as is. Bools and floats are rejected,
+    integral floats such as ``3.0`` too. Raises :class:`ContractViolation`.
+    """
+    if type(t) is int:  # not isinstance: a bool is an int
+        if 0 <= t < T:
+            return t
+    elif isinstance(t, np.integer):
+        t = int(t)
+        if 0 <= t < T:
+            return t
+    elif isinstance(t, np.ndarray) and t.dtype.kind in "iu" and t.ndim == 1:
+        steps = t.tolist()  # Python ints compare faster than array reductions at B=1
+        if not steps or 0 <= min(steps) and max(steps) < T:
+            return t
+    raise ContractViolation(f"timesteps must be integers in [0, {T}), got {t!r}")
 
 
 def q_sample(x0, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
     """Noise x0 to timestep t in one jump: sqrt(abar_t) x0 + sqrt(1-abar_t) eps."""
-    t = _check_t(t, sched)
+    t = check_timesteps(t, sched.T)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != x0.shape:
@@ -111,7 +126,7 @@ def q_sample(x0, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
 
 def predict_x0(x_t, eps_hat, t: int, sched: NoiseSchedule) -> np.ndarray:
     """Invert q_sample given a noise estimate: (x_t - sqrt(1-abar_t) eps) / sqrt(abar_t)."""
-    t = _check_t(t, sched)
+    t = check_timesteps(t, sched.T)
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     return (x_t - sched.sqrt_one_minus_abar[t] * eps_hat) / sched.sqrt_abar[t]
@@ -128,10 +143,11 @@ def _ddim_step(x, t_src: int, t_dst: int, denoiser, sched: NoiseSchedule) -> np.
 
 
 def _ladder(s: int, t: int, stride: int, sched: NoiseSchedule) -> list[int]:
+    s, t = check_timesteps(s, sched.T), check_timesteps(t, sched.T)
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
-    if not 0 <= s < t <= sched.T - 1:
-        raise ContractViolation(f"need 0 <= s < t <= T-1, got s={s}, t={t}, T={sched.T}")
+    if not s < t:
+        raise ContractViolation(f"need s < t, got s={s}, t={t}")
     if (t - s) % stride != 0:
         raise ConfigurationError(f"span {t - s} not divisible by stride {stride}")
     return list(range(s, t + 1, stride))
@@ -139,7 +155,7 @@ def _ladder(s: int, t: int, stride: int, sched: NoiseSchedule) -> list[int]:
 
 def ddim_reverse_chain(x_s, s: int, t: int, denoiser, sched: NoiseSchedule, stride: int) -> np.ndarray:
     """Compose reverse macro-steps along the ladder s, s+stride, ..., t (Phi)."""
-    rungs = _ladder(int(s), int(t), int(stride), sched)
+    rungs = _ladder(s, t, int(stride), sched)
     x = np.asarray(x_s, dtype=np.float64)
     for src, dst in zip(rungs[:-1], rungs[1:]):
         x = _ddim_step(x, src, dst, denoiser, sched)
@@ -148,7 +164,7 @@ def ddim_reverse_chain(x_s, s: int, t: int, denoiser, sched: NoiseSchedule, stri
 
 def ddim_denoise_chain(x_t, t: int, s: int, denoiser, sched: NoiseSchedule, stride: int) -> np.ndarray:
     """Compose denoise macro-steps along the ladder t, t-stride, ..., s (Psi)."""
-    rungs = _ladder(int(s), int(t), int(stride), sched)
+    rungs = _ladder(s, t, int(stride), sched)
     x = np.asarray(x_t, dtype=np.float64)
     for src, dst in zip(rungs[::-1][:-1], rungs[::-1][1:]):
         x = _ddim_step(x, src, dst, denoiser, sched)

@@ -183,6 +183,21 @@ class TestMalformedInputs:
         assert "model.fmia" in err and model_value in err and config_value in err
         assert not list((tmp_path / "out").glob("scores_*.csv"))
 
+    @pytest.mark.parametrize("name, body", [
+        ("metrics_naive_raw.json", '{"asr": 0.5, "auc": 0.5,'),
+        ("metrics_naive_raw.json", '{"asr": 0.5, "auc": 0.5, "tpr_at_1pct_fpr": 0.0}'),
+        ("metrics_naive_raw.json",
+         '{"asr": 0.5, "auc": "high", "tpr_at_1pct_fpr": 0.0, "sigma_ratio": null}'),
+        ("metrics_naive_raw.json", "[0.5, 0.5, 0.0, null]"),
+        ("metrics_naive.json",
+         '{"asr": 0.5, "auc": 0.5, "tpr_at_1pct_fpr": 0.0, "sigma_ratio": null}'),
+    ], ids=["truncated", "no_sigma_ratio", "string_auc", "not_an_object", "misnamed"])
+    def test_malformed_metrics_json_exits_1(self, tmp_path, capsys, name, body):
+        (tmp_path / name).write_text(body)
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert name in captured.err and captured.out == ""
+
 
 class TestVerifyProp:
     def test_satisfied_case(self, capsys):
@@ -197,3 +212,17 @@ class TestVerifyProp:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify-prop", "--lm", "1"])
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--n-samples", "1"],
+        ["--n-trials", "0"],
+        ["--lm", "-1"],
+        ["--hh", "-0.5"],
+    ], ids=["n_samples_1", "n_trials_0", "negative_lm", "negative_hh"])
+    def test_invalid_flag_value_exits_1(self, capsys, flags):
+        args = {"--lm": "1", "--lh": "1.2", "--hm": "0.5", "--hh": "0.5",
+                "--n-samples": "20000", "--n-trials": "5"}
+        args.update(zip(flags[::2], flags[1::2]))
+        assert main(["verify-prop", *[item for pair in args.items() for item in pair]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""

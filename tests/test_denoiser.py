@@ -48,10 +48,12 @@ def mean_loss(den, images, sched, timesteps, seed):
 
 
 def per_layer_momentum_train(images, config, sched, hidden_sizes, emb_dim):
-    """Reference for train_toy_denoiser: the SGD loop with one weight array,
-    bias array and velocity per layer, updated out of place, as the
-    denoiser trained before its parameters became one vector."""
-    den = ToyDenoiser.initialize(images.shape[1:], hidden_sizes, emb_dim, sched.T, config.seed)
+    """Reference for train_toy_denoiser: the float32 SGD loop with one
+    weight array, bias array and velocity per layer, updated out of place,
+    as the denoiser trained before its parameters became one vector."""
+    den = ToyDenoiser.initialize(images.shape[1:], hidden_sizes, emb_dim, sched.T,
+                                 config.seed).astype(np.float32)
+    images = images.astype(np.float32)
     weights = [w.copy() for w in den.weights]
     biases = [b.copy() for b in den.biases]
     vel_w = [np.zeros_like(w) for w in weights]
@@ -65,7 +67,7 @@ def per_layer_momentum_train(images, config, sched, hidden_sizes, emb_dim):
         for start in range(0, len(images), config.batch_size):
             idx = order[start:start + config.batch_size]
             t = rng.integers(0, sched.T, size=len(idx))
-            eps = rng.standard_normal((len(idx), flat_dim))
+            eps = rng.standard_normal((len(idx), flat_dim), dtype=np.float32)
             for view, own in zip(den.weights + den.biases, weights + biases):
                 view[...] = own
             loss, grad = batch_loss_and_grads(den, images[idx], t, eps, sched)
@@ -77,14 +79,18 @@ def per_layer_momentum_train(images, config, sched, hidden_sizes, emb_dim):
                 biases[i] += vel_b[i]
             losses.append(loss)
         trace.append(float(np.mean(losses)))
-    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair]), trace
+    params = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+    return params.astype(np.float64), trace
 
 
 def per_step_root_and_embedding_train(images, config, sched, hidden_sizes, emb_dim):
-    """Reference for train_toy_denoiser: the SGD loop with the noising roots
-    and the timestep embedding computed afresh on every step, as the
-    denoiser trained before it read them from precomputed tables."""
-    den = ToyDenoiser.initialize(images.shape[1:], hidden_sizes, emb_dim, sched.T, config.seed)
+    """Reference for train_toy_denoiser: the float32 SGD loop with the
+    noising roots and the timestep embedding computed afresh in float64 on
+    every step and then cast, as the denoiser trained before it read them
+    from precomputed tables."""
+    den = ToyDenoiser.initialize(images.shape[1:], hidden_sizes, emb_dim, sched.T,
+                                 config.seed).astype(np.float32)
+    images = images.astype(np.float32)
     rng = derive_rng(config.seed, "denoiser-train")
     vel = np.zeros_like(den.params)
     flat_dim = int(np.prod(images.shape[1:]))
@@ -93,10 +99,11 @@ def per_step_root_and_embedding_train(images, config, sched, hidden_sizes, emb_d
         for start in range(0, len(images), config.batch_size):
             idx = order[start:start + config.batch_size]
             t = rng.integers(0, sched.T, size=len(idx))
-            eps = rng.standard_normal((len(idx), flat_dim))
+            eps = rng.standard_normal((len(idx), flat_dim), dtype=np.float32)
             abar = sched.alpha_bar[t][:, None]
-            x_t = np.sqrt(abar) * images[idx].reshape(len(idx), -1) + np.sqrt(1.0 - abar) * eps
-            emb = timestep_embedding(t.astype(np.float64), emb_dim)
+            x_t = (np.sqrt(abar).astype(np.float32) * images[idx].reshape(len(idx), -1)
+                   + np.sqrt(1.0 - abar).astype(np.float32) * eps)
+            emb = timestep_embedding(t.astype(np.float64), emb_dim).astype(np.float32)
             acts = den._forward_batch(np.concatenate([x_t, emb], axis=1))
             grad = np.empty_like(den.params)
             w_grads, b_grads = layer_views(grad, den.layer_sizes)
@@ -110,7 +117,7 @@ def per_step_root_and_embedding_train(images, config, sched, hidden_sizes, emb_d
             vel *= config.momentum
             vel -= config.learning_rate * grad
             den.params += vel
-    return den.params
+    return den.params.astype(np.float64)
 
 
 class TestEmbedding:
@@ -130,10 +137,12 @@ class TestEmbedding:
 
     @pytest.mark.parametrize("dim", [4, 8, 16])
     def test_table_rows_match_per_call_embedding(self, dim):
-        table = _embedding_table(1000, dim)
-        assert table.shape == (1000, dim) and not table.flags.writeable
-        for t in range(1000):
-            assert np.array_equal(table[t], timestep_embedding(t, dim))
+        for dtype in (np.dtype(np.float64), np.dtype(np.float32)):
+            table = _embedding_table(1000, dim, dtype)
+            assert table.shape == (1000, dim) and table.dtype == dtype
+            assert not table.flags.writeable
+            for t in range(1000):
+                assert np.array_equal(table[t], timestep_embedding(t, dim).astype(dtype))
 
 
 class TestToyDenoiser:
@@ -167,13 +176,16 @@ class TestToyDenoiser:
         with pytest.raises(ConfigurationError, match="layer sizes"):
             ToyDenoiser(np.zeros(385), [20, 10, 16], (1, 4, 4), 4, 50)
 
-    @pytest.mark.parametrize("t", [-1, 50, 2.5, 3.0])
-    def test_timestep_outside_contract_rejected(self, t):
+    @pytest.mark.parametrize("t", [-1, 50, 2.5, 3.0, True])
+    def test_timestep_outside_contract_rejected(self, sched, t):
         den = ToyDenoiser.initialize((1, 4, 4), (10,), 4, 50, seed=0)
         with pytest.raises(ContractViolation, match="timestep"):
             den(np.zeros((1, 4, 4)), t)
         with pytest.raises(ContractViolation, match="timestep"):
             den.predict_batch(np.zeros((1, 16)), np.array([t]))
+        x0 = np.zeros((2, 1, 4, 4))
+        with pytest.raises(ContractViolation, match="timestep"):
+            batch_loss_and_grads(den, x0, np.array([t, t]), x0, sched)
 
     def test_numpy_integer_timesteps_accepted(self):
         den = ToyDenoiser.initialize((1, 4, 4), (10,), 4, 50, seed=0)
@@ -248,6 +260,29 @@ class TestGradients:
             fd = (up - down) / (2 * step)
             assert abs(fd - b_grads[layer][idx]) / max(abs(fd), 1e-8) < 1e-4
 
+    def test_float64_model_computes_in_float64(self, sched):
+        rng = np.random.default_rng(8)
+        den = ToyDenoiser.initialize((1, 4, 4), (12,), 4, sched.T, seed=9)
+        x0 = rng.standard_normal((3, 1, 4, 4)).astype(np.float32)
+        eps = rng.standard_normal((3, 1, 4, 4)).astype(np.float32)
+        loss, grad = batch_loss_and_grads(den, x0, rng.integers(0, sched.T, size=3), eps, sched)
+        assert den.params.dtype == np.float64 and grad.dtype == np.float64
+        assert type(loss) is float
+
+    def test_float32_gradient_matches_float64(self, sched):
+        rng = np.random.default_rng(10)
+        den32 = ToyDenoiser.initialize((1, 8, 8), (32, 16), 8, sched.T, seed=11).astype(np.float32)
+        den64 = den32.astype(np.float64)  # the same weights, computed in float64
+        x0 = rng.uniform(-1.0, 1.0, (6, 1, 8, 8)).astype(np.float32)
+        eps = rng.standard_normal((6, 1, 8, 8)).astype(np.float32)
+        t = rng.integers(0, sched.T, size=6)
+        loss32, grad32 = batch_loss_and_grads(den32, x0, t, eps, sched)
+        loss64, grad64 = batch_loss_and_grads(den64, x0, t, eps, sched)
+        assert grad32.dtype == np.float32 and den32.params.dtype == np.float32
+        # float32 round-off (6e-8) grown over a few hundred summed terms
+        assert np.linalg.norm(grad32 - grad64) / np.linalg.norm(grad64) < 1e-5
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+
 
 class TestTraining:
     def test_single_sample_overfits(self, sched):
@@ -282,8 +317,8 @@ class TestTraining:
         config = TrainingConfig(epochs=3, batch_size=2, learning_rate=0.0, seed=2)
         den, _ = train_toy_denoiser(images, config, sched, hidden_sizes=(16,), emb_dim=8)
         fresh = ToyDenoiser.initialize((1, 8, 8), (16,), 8, sched.T, seed=config.seed)
-        for got, expected in zip(den.weights, fresh.weights):
-            assert np.array_equal(got, expected)
+        expected = fresh.astype(np.float32).astype(np.float64)
+        assert den.params.tobytes() == expected.params.tobytes()
 
     def test_training_is_reproducible(self, sched):
         images = smooth_images(3, 8, seed=13)
@@ -308,6 +343,15 @@ class TestTraining:
         den, _ = train_toy_denoiser(images, config, sched, hidden_sizes=(16,), emb_dim=8)
         ref_params = per_step_root_and_embedding_train(images, config, sched, (16,), 8)
         assert den.params.tobytes() == ref_params.tobytes()
+
+    def test_trained_params_are_float32_values(self, sched, tmp_path):
+        images = smooth_images(3, 8, seed=17)
+        config = TrainingConfig(epochs=4, batch_size=2, learning_rate=0.05, seed=8)
+        den, _ = train_toy_denoiser(images, config, sched, hidden_sizes=(16,), emb_dim=8)
+        assert den.params.dtype == np.float64
+        assert np.array_equal(den.params, den.params.astype(np.float32).astype(np.float64))
+        save_denoiser(den, tmp_path / "model.fmia")
+        assert load_denoiser(tmp_path / "model.fmia").params.tobytes() == den.params.tobytes()
 
     def test_divergence_raises_with_epoch_index(self, sched):
         images = smooth_images(2, 8, seed=14)

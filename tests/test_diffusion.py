@@ -301,3 +301,40 @@ class TestDdimChains:
         x = np.zeros((1, 4, 4))
         with pytest.raises(ContractViolation):
             ddim_reverse_chain(x, 10, 5, zero_denoiser, small_sched, stride=5)
+
+
+class TestTimestepContract:
+    """q_sample, predict_x0 and the DDIM chains take integer timesteps in
+    [0, T): a float is not truncated, even an integral one."""
+
+    @pytest.mark.parametrize("t", [-1, 50, 2.5, 3.0, np.float64(3.0), True, "3"],
+                             ids=["-1", "T", "2.5", "3.0", "float64", "bool", "str"])
+    def test_non_integer_or_out_of_range_rejected(self, small_sched, t):
+        x = np.zeros((1, 4, 4))
+        with pytest.raises(ContractViolation, match="timestep"):
+            q_sample(x, t, x, small_sched)
+        with pytest.raises(ContractViolation, match="timestep"):
+            predict_x0(x, x, t, small_sched)
+        with pytest.raises(ContractViolation, match="timestep"):
+            ddim_reverse_chain(x, 0, t, zero_denoiser, small_sched, stride=1)
+        with pytest.raises(ContractViolation, match="timestep"):
+            ddim_denoise_chain(x, t, 0, zero_denoiser, small_sched, stride=1)
+
+    def test_float_start_of_ladder_rejected(self, small_sched):
+        x = np.zeros((1, 4, 4))
+        with pytest.raises(ContractViolation, match="timestep"):
+            ddim_reverse_chain(x, 0.0, 10, zero_denoiser, small_sched, stride=5)
+        with pytest.raises(ContractViolation, match="timestep"):
+            ddim_denoise_chain(x, 10, 5.0, zero_denoiser, small_sched, stride=5)
+
+    def test_numpy_integers_equal_python_ints(self, small_sched):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((1, 4, 4))
+        eps = rng.standard_normal((1, 4, 4))
+        den = make_const_denoiser(eps)
+        for t in (np.int32(7), np.int64(7), np.uint8(7)):
+            assert np.array_equal(q_sample(x, t, eps, small_sched), q_sample(x, 7, eps, small_sched))
+            assert np.array_equal(predict_x0(x, eps, t, small_sched),
+                                  predict_x0(x, eps, 7, small_sched))
+        assert np.array_equal(ddim_reverse_chain(x, np.int64(0), np.int64(10), den, small_sched, 5),
+                              ddim_reverse_chain(x, 0, 10, den, small_sched, 5))
