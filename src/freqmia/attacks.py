@@ -17,9 +17,10 @@ output order follows input order. The denoiser is only read.
 """
 
 import csv
-import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice
+from operator import attrgetter, itemgetter
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -97,8 +98,7 @@ class ScorePair:
             )
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
+class ScoreRecord(NamedTuple):
     """One sample's membership label and scores."""
 
     sample_id: str
@@ -203,51 +203,106 @@ def _fmt(x: Optional[float]) -> str:
 
 def write_score_csv(records, path) -> None:
     """Scores as CSV with LF line endings. Floats are written with
-    ``repr``, so :func:`read_score_csv` gets back the exact values."""
+    ``repr``, so :func:`read_score_csv` gets back the exact values. All
+    rows go out in one ``writerows`` call, which quotes a sample id as
+    ``csv`` does."""
+    sample_id, membership, *scores = ([*map(attrgetter(c), records)] for c in _COLUMNS)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_COLUMNS)
-        for rec in records:
-            writer.writerow([rec.sample_id, rec.membership, _fmt(rec.score_raw),
-                             _fmt(rec.score_filtered), _fmt(rec.hf_content)])
+        writer.writerows(zip(sample_id, membership, *(map(_fmt, col) for col in scores)))
 
 
-def _finite(column: str, cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"{column} must be finite, got {cell!r}")
-    return value
+def _convert(cells, name: str, convert, check: int, failures: list, finite: bool = False) -> list:
+    """``convert`` over a column of cells, up to the first cell it rejects
+    (with ``finite``, a non-finite value too). Returns the values before
+    that cell and adds the cell to ``failures`` as ``(position, check,
+    message)``."""
+    values = []
+    try:
+        values.extend(map(convert, cells))  # extend keeps what came before a bad cell
+    except ValueError as exc:
+        failures.append((len(values), check, f"{name}: {exc}"))
+    if finite:
+        ok = np.isfinite(np.array(values, dtype=np.float64))
+        if not ok.all():
+            k = int(np.argmin(ok))
+            failures.append((k, check, f"{name} must be finite, got {cells[k]!r}"))
+    return values
+
+
+def _line_number(path, row: int) -> int:
+    """The line on which data row ``row`` (0-based, blank lines skipped)
+    of a CSV file ends, as ``csv.reader`` counts lines."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        next(islice(filter(None, reader), row, None))
+        return reader.line_num
 
 
 def read_score_csv(path) -> list[ScoreRecord]:
     """Inverse of :func:`write_score_csv`. A missing column, a cell that
     does not parse, a non-finite score or ``hf_content``, a membership
     other than 0 or 1, a ``score_filtered`` column filled on some rows
-    only, or a file without rows raises :class:`IngestionError` naming the
-    file (and the line, for a bad row)."""
-    records = []
+    only, a repeated sample id, or a file without rows raises
+    :class:`IngestionError` naming the file (and, for a bad row, its line
+    and column). When several rows are bad, the first one is reported.
+
+    The file is read in one pass and parsed column by column: one
+    conversion and one array check per column. The raw cells are freed as
+    their column is parsed, before the records are built.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in _COLUMNS if c not in header]
         if missing:
             raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")
-        columns = [header.index(c) for c in _COLUMNS]
-        for row in reader:
-            if not row:
-                continue
-            try:
-                sample_id, membership, raw, filtered, hf = (row[i] for i in columns)
-                record = ScoreRecord(sample_id, int(membership), _finite("score_raw", raw),
-                                     _finite("score_filtered", filtered) if filtered else None,
-                                     _finite("hf_content", hf))
-                if record.membership not in (0, 1):
-                    raise ValueError(f"membership must be 0 or 1, got {membership!r}")
-                if records and (not filtered) != (records[0].score_filtered is None):
-                    raise ValueError("score_filtered must be filled on every row or on none")
-                records.append(record)
-            except (IndexError, ValueError) as exc:
-                raise IngestionError(f"{path}, line {reader.line_num}: {exc}") from exc
-    if not records:
+        index = [header.index(c) for c in _COLUMNS]
+        rows = list(filter(None, reader))  # a blank line reads as []
+    if not rows:
         raise IngestionError(f"{path}: no score rows")
-    return records
+
+    # (row, check, message); check numbers the checks in the order one row
+    # is read, so the smallest triple is the first bad row's first failure
+    failures = []
+    short = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) <= max(index))
+    if short.size:
+        failures.append((int(short[0]), 0, "list index out of range"))
+        del rows[short[0]:]
+    ids, labels, raw, filtered, hf = ([*map(itemgetter(i), rows)] for i in index)
+    del rows
+
+    membership = _convert(labels, "membership", int, 1, failures)
+    in_range = np.fromiter(map((0, 1).__contains__, membership), bool, len(membership))
+    if not in_range.all():
+        k = int(np.argmin(in_range))
+        failures.append((k, 5, f"membership must be 0 or 1, got {labels[k]!r}"))
+    del labels
+    raw = _convert(raw, "score_raw", float, 2, failures, finite=True)
+    filled = np.fromiter(map(bool, filtered), bool, len(filtered))
+    at = np.flatnonzero(filled)
+    found = []  # positions among the filled cells
+    filtered = _convert([*map(filtered.__getitem__, at.tolist())], "score_filtered", float, 3,
+                        found, finite=True)
+    failures += [(int(at[k]), check, message) for k, check, message in found]
+    hf = _convert(hf, "hf_content", float, 4, failures, finite=True)
+    mixed = np.flatnonzero(filled != filled[:1])
+    if mixed.size:
+        failures.append((int(mixed[0]), 6, "score_filtered must be filled on every row or on none"))
+    if len(set(ids)) < len(ids):
+        first = {}
+        for k, sample_id in enumerate(ids):
+            j = first.setdefault(sample_id, k)
+            if j != k:
+                message = f"sample_id {sample_id!r} repeats line {_line_number(path, j)}"
+                failures.append((k, 7, message))
+                break
+
+    if failures:
+        row, _, message = min(failures)
+        raise IngestionError(f"{path}, line {_line_number(path, row)}: {message}")
+    if not filled[0]:
+        filtered = [None] * len(ids)
+    return list(map(ScoreRecord._make, zip(ids, membership, raw, filtered, hf)))

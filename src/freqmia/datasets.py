@@ -195,8 +195,8 @@ def ingest_pgm_dir(path) -> list[LabeledSample]:
     """Load every manifest entry from a PGM directory.
 
     All images must share one resolution; any malformed file, missing
-    entry, or size mismatch raises :class:`IngestionError` naming the
-    offender.
+    or repeated entry, or size mismatch raises :class:`IngestionError`
+    naming the offender.
     """
     root = Path(path)
     manifest = root / MANIFEST_NAME
@@ -204,6 +204,7 @@ def ingest_pgm_dir(path) -> list[LabeledSample]:
         raise IngestionError(f"{manifest}: manifest not found")
     samples = []
     shape = None
+    listed = {}  # file name -> manifest line
     for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -214,6 +215,9 @@ def ingest_pgm_dir(path) -> list[LabeledSample]:
         name, label = parts[0].strip(), parts[1].strip()
         if label not in ("0", "1"):
             raise IngestionError(f"{manifest}:{lineno}: membership must be 0 or 1, got {label!r}")
+        if name in listed:
+            raise IngestionError(f"{manifest}:{lineno}: {name!r} repeats line {listed[name]}")
+        listed[name] = lineno
         file_path = root / name
         if not file_path.is_file():
             raise IngestionError(f"{manifest}:{lineno}: no such file {name!r}")

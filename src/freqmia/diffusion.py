@@ -144,6 +144,9 @@ def _ddim_step(x, t_src: int, t_dst: int, denoiser, sched: NoiseSchedule) -> np.
 
 def _ladder(s: int, t: int, stride: int, sched: NoiseSchedule) -> list[int]:
     s, t = check_timesteps(s, sched.T), check_timesteps(t, sched.T)
+    if type(stride) is not int and not isinstance(stride, np.integer):  # a bool is an int
+        raise ContractViolation(f"stride must be an integer, got {stride!r}")
+    stride = int(stride)
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
     if not s < t:
@@ -155,7 +158,7 @@ def _ladder(s: int, t: int, stride: int, sched: NoiseSchedule) -> list[int]:
 
 def ddim_reverse_chain(x_s, s: int, t: int, denoiser, sched: NoiseSchedule, stride: int) -> np.ndarray:
     """Compose reverse macro-steps along the ladder s, s+stride, ..., t (Phi)."""
-    rungs = _ladder(s, t, int(stride), sched)
+    rungs = _ladder(s, t, stride, sched)
     x = np.asarray(x_s, dtype=np.float64)
     for src, dst in zip(rungs[:-1], rungs[1:]):
         x = _ddim_step(x, src, dst, denoiser, sched)
@@ -164,7 +167,7 @@ def ddim_reverse_chain(x_s, s: int, t: int, denoiser, sched: NoiseSchedule, stri
 
 def ddim_denoise_chain(x_t, t: int, s: int, denoiser, sched: NoiseSchedule, stride: int) -> np.ndarray:
     """Compose denoise macro-steps along the ladder t, t-stride, ..., s (Psi)."""
-    rungs = _ladder(s, t, int(stride), sched)
+    rungs = _ladder(s, t, stride, sched)
     x = np.asarray(x_t, dtype=np.float64)
     for src, dst in zip(rungs[::-1][:-1], rungs[::-1][1:]):
         x = _ddim_step(x, src, dst, denoiser, sched)

@@ -17,10 +17,10 @@ Monte-Carlo verifier draws each trial from its own spawned child stream,
 so results for trial i do not depend on how many trials run in total.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -51,17 +51,34 @@ __all__ = [
 ]
 
 
-def _split_scores(records, use_filtered: bool):
+def _field(records, name: str, dtype) -> np.ndarray:
+    """One field of every record, in record order."""
+    return np.fromiter(map(attrgetter(name), records), dtype, len(records))
+
+
+def _scores_and_labels(records, use_filtered: bool):
+    """The chosen score column as float64 and the membership labels, in
+    record order. A missing or NaN score, or a class without scores,
+    raises :class:`EvaluationError`."""
     column = "score_filtered" if use_filtered else "score_raw"
-    member, holdout = [], []
-    for rec in records:
-        value = getattr(rec, column)
-        if value is None or math.isnan(value):
-            raise EvaluationError(f"record {rec.sample_id} has no {column} (got {value})")
-        (member if rec.membership == 1 else holdout).append(float(value))
-    if not member or not holdout:
+    scores = _field(records, column, np.float64)  # None reads as NaN
+    missing = np.flatnonzero(np.isnan(scores))
+    if missing.size:
+        rec = records[missing[0]]
+        raise EvaluationError(f"record {rec.sample_id} has no {column} (got {getattr(rec, column)})")
+    labels = _field(records, "membership", np.int64)
+    is_member = labels == 1
+    if is_member.all() or not is_member.any():  # all() holds for no records
         raise EvaluationError("need scores from both classes")
-    return np.asarray(member), np.asarray(holdout)
+    return scores, labels
+
+
+def _split_scores(records, use_filtered: bool):
+    """Member and hold-out scores (membership 1 and anything else), each in
+    record order."""
+    scores, labels = _scores_and_labels(records, use_filtered)
+    is_member = labels == 1
+    return scores[is_member], scores[~is_member]
 
 
 def _count_at_or_below(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -357,14 +374,12 @@ def failed_sample_hf_analysis(records, tau: float, use_filtered: bool = False):
     Failed members score above tau; failed hold-outs score at or below
     it. An empty failure group is reported as None, never as 0.
     """
-    _split_scores(records, use_filtered)  # both classes must be present
-    column = "score_filtered" if use_filtered else "score_raw"
-    failed_member = [r.hf_content for r in records
-                     if r.membership == 1 and getattr(r, column) > tau]
-    failed_holdout = [r.hf_content for r in records
-                      if r.membership == 0 and getattr(r, column) <= tau]
-    mean_m = float(np.mean(failed_member)) if failed_member else None
-    mean_h = float(np.mean(failed_holdout)) if failed_holdout else None
+    scores, labels = _scores_and_labels(records, use_filtered)
+    hf = _field(records, "hf_content", np.float64)
+    failed_member = hf[(labels == 1) & (scores > tau)]
+    failed_holdout = hf[(labels == 0) & (scores <= tau)]
+    mean_m = float(np.mean(failed_member)) if failed_member.size else None
+    mean_h = float(np.mean(failed_holdout)) if failed_holdout.size else None
     return mean_m, mean_h
 
 
@@ -374,10 +389,13 @@ class MetricsReport:
 
     Statistics that are undefined on the given scores (deviation ratio
     with a degenerate member column, normality test on a constant
-    sample) are recorded as None rather than invented.
+    sample) are recorded as None rather than invented. ``tau`` is the
+    ASR-optimal threshold, where the advantage is taken; the metrics file
+    leaves it out.
     """
 
     asr: float
+    tau: float
     auc: float
     tpr_at_1pct_fpr: float
     sigma_member: Optional[float]
@@ -425,6 +443,7 @@ def build_metrics_report(records, use_filtered: bool = False) -> MetricsReport:
         ks_holdout = None
     return MetricsReport(
         asr=asr,
+        tau=tau,
         auc=auc(curve),
         tpr_at_1pct_fpr=tpr_at_fpr(curve, 0.01),
         sigma_member=sm,
@@ -443,8 +462,8 @@ def write_metrics_json(report: MetricsReport, path) -> None:
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
+    """``threshold,fpr,tpr`` with 12 significant digits, LF line endings."""
+    columns = (curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist())
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for tau, f, t in zip(curve.thresholds, curve.fpr, curve.tpr):
-            writer.writerow([f"{tau:.12g}", f"{f:.12g}", f"{t:.12g}"])
+        fh.write("threshold,fpr,tpr\n")
+        fh.writelines(map("{:.12g},{:.12g},{:.12g}\n".format, *columns))

@@ -47,7 +47,6 @@ from .diffusion import linear_schedule
 from .errors import ConfigurationError, ExperimentError
 from .evaluation import (
     build_metrics_report,
-    compute_asr,
     compute_roc,
     failed_sample_hf_analysis,
     write_metrics_json,
@@ -222,11 +221,9 @@ def evaluate_records(records) -> dict:
         if use_filtered and not has_filter:
             continue
         report = build_metrics_report(records, use_filtered)
-        _, tau = compute_asr(records, use_filtered)
-        failed_m, failed_h = failed_sample_hf_analysis(records, tau, use_filtered)
+        failed_m, failed_h = failed_sample_hf_analysis(records, report.tau, use_filtered)
         result[variant] = {
             "metrics": report,
-            "tau": tau,
             "failed_hf": {"member": failed_m, "holdout": failed_h},
             "curve": compute_roc(records, use_filtered),
         }
@@ -364,7 +361,7 @@ def report_stage(pipe: Pipeline, evaluated: dict) -> dict:
         comparison_rows = []
         for kind, variants in evaluated.items():
             report["attacks"][kind] = {
-                variant: {**data["metrics"].to_json_dict(), "tau": data["tau"]}
+                variant: {**data["metrics"].to_json_dict(), "tau": data["metrics"].tau}
                 for variant, data in variants.items()
             }
             failed_hf[kind] = {variant: data["failed_hf"] for variant, data in variants.items()}

@@ -143,6 +143,30 @@ class TestMalformedInputs:
         assert main(["train", "--config", str(tmp_path / "pgm.ini")]) == 1
         assert "bad.pgm" in capsys.readouterr().err
 
+    def test_repeated_manifest_entry_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for i in range(4):
+            (data / f"s{i}.pgm").write_bytes(b"P5\n8 8\n15\n" + bytes([i] * 64))
+        (data / "manifest.csv").write_text("s0.pgm,1\ns1.pgm,0\ns2.pgm,1\ns0.pgm,0\ns3.pgm,0\n")
+        config = tiny_config(tmp_path / "out", dataset_kind="pgm_dir", dataset_path=str(data))
+        config.to_file(tmp_path / "pgm.ini")
+        assert main(["train", "--config", str(tmp_path / "pgm.ini")]) == 1
+        err = capsys.readouterr().err
+        assert "manifest.csv:4" in err and "'s0.pgm' repeats line 1" in err
+
+    def test_repeated_sample_id_in_score_csv_exits_1(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        for kind in ("naive", "pia", "secmi"):
+            (out / f"scores_{kind}.csv").write_text(
+                "sample_id,membership,score_raw,score_filtered,hf_content\n"
+                "a,1,0.5,,0.25\nb,0,0.7,,0.25\na,1,0.5,,0.25\n")
+        assert main(["eval", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "scores_naive.csv, line 4: sample_id 'a' repeats line 2" in err
+        assert not list(out.glob("metrics_*.json"))
+
     def test_truncated_model_exits_1(self, tmp_path, config_path, capsys):
         assert main(["train", "--config", str(config_path)]) == 0
         model = tmp_path / "out" / "model.fmia"

@@ -191,6 +191,12 @@ class TestIngestDir:
         with pytest.raises(IngestionError, match="membership"):
             ingest_pgm_dir(tmp_path)
 
+    def test_repeated_entry_names_both_lines(self, tmp_path):
+        self._write_sample_dir(tmp_path, [("a.pgm", 1, 4), ("b.pgm", 0, 4)])
+        (tmp_path / "manifest.csv").write_text("a.pgm,1\nb.pgm,0\n\na.pgm,0\n")
+        with pytest.raises(IngestionError, match=r"manifest\.csv:4: 'a\.pgm' repeats line 1"):
+            ingest_pgm_dir(tmp_path)
+
     def test_generate_dataset_delegates_for_pgm_kind(self, tmp_path):
         spec = DatasetSpec(size=8, n_member=2, n_holdout=2, seed=10)
         export_pgm_dir(generate_dataset(spec), tmp_path / "d")

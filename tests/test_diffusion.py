@@ -338,3 +338,22 @@ class TestTimestepContract:
                                   predict_x0(x, eps, 7, small_sched))
         assert np.array_equal(ddim_reverse_chain(x, np.int64(0), np.int64(10), den, small_sched, 5),
                               ddim_reverse_chain(x, 0, 10, den, small_sched, 5))
+
+    @pytest.mark.parametrize("stride", [2.5, 2.0, np.float64(2.0), True, np.bool_(True), "2"],
+                             ids=["2.5", "2.0", "float64", "bool", "numpy_bool", "str"])
+    def test_non_integer_stride_rejected(self, small_sched, stride):
+        x = np.zeros((1, 4, 4))
+        with pytest.raises(ContractViolation, match="stride"):
+            ddim_reverse_chain(x, 0, 10, zero_denoiser, small_sched, stride)
+        with pytest.raises(ContractViolation, match="stride"):
+            ddim_denoise_chain(x, 10, 0, zero_denoiser, small_sched, stride)
+
+    def test_numpy_integer_stride_equals_python_int(self, small_sched):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((1, 4, 4))
+        den = make_const_denoiser(rng.standard_normal((1, 4, 4)))
+        for stride in (np.int32(5), np.int64(5), np.uint8(5)):
+            assert np.array_equal(ddim_reverse_chain(x, 0, 10, den, small_sched, stride),
+                                  ddim_reverse_chain(x, 0, 10, den, small_sched, 5))
+            assert np.array_equal(ddim_denoise_chain(x, 10, 0, den, small_sched, stride),
+                                  ddim_denoise_chain(x, 10, 0, den, small_sched, 5))

@@ -1,0 +1,305 @@
+"""The score-file and evaluation paths work on whole columns. The
+per-record code they replaced is kept here as the oracle: the column code
+must give the same array bytes, floats, file bytes and errors."""
+
+import csv
+import math
+
+import numpy as np
+import pytest
+
+from freqmia.attacks import ScoreRecord, read_score_csv, write_score_csv
+from freqmia.errors import EvaluationError, IngestionError
+from freqmia.evaluation import (
+    RocCurve,
+    _split_scores,
+    compute_asr,
+    compute_roc,
+    failed_sample_hf_analysis,
+    write_roc_csv,
+)
+
+COLUMNS = ["sample_id", "membership", "score_raw", "score_filtered", "hf_content"]
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1.0 / 3.0]
+
+
+# --- the per-record implementations -------------------------------------
+
+def row_split_scores(records, use_filtered):
+    column = "score_filtered" if use_filtered else "score_raw"
+    member, holdout = [], []
+    for rec in records:
+        value = getattr(rec, column)
+        if value is None or math.isnan(value):
+            raise EvaluationError(f"record {rec.sample_id} has no {column} (got {value})")
+        (member if rec.membership == 1 else holdout).append(float(value))
+    if not member or not holdout:
+        raise EvaluationError("need scores from both classes")
+    return np.asarray(member), np.asarray(holdout)
+
+
+def row_failed_sample_hf_analysis(records, tau, use_filtered=False):
+    row_split_scores(records, use_filtered)
+    column = "score_filtered" if use_filtered else "score_raw"
+    failed_member = [r.hf_content for r in records
+                     if r.membership == 1 and getattr(r, column) > tau]
+    failed_holdout = [r.hf_content for r in records
+                      if r.membership == 0 and getattr(r, column) <= tau]
+    mean_m = float(np.mean(failed_member)) if failed_member else None
+    mean_h = float(np.mean(failed_holdout)) if failed_holdout else None
+    return mean_m, mean_h
+
+
+def row_write_roc_csv(curve, path):
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["threshold", "fpr", "tpr"])
+        for tau, f, t in zip(curve.thresholds, curve.fpr, curve.tpr):
+            writer.writerow([f"{tau:.12g}", f"{f:.12g}", f"{t:.12g}"])
+
+
+def _fmt(x):
+    return "" if x is None else repr(float(x))
+
+
+def row_write_score_csv(records, path):
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(COLUMNS)
+        for rec in records:
+            writer.writerow([rec.sample_id, rec.membership, _fmt(rec.score_raw),
+                             _fmt(rec.score_filtered), _fmt(rec.hf_content)])
+
+
+def _finite(column, cell):
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{column} must be finite, got {cell!r}")
+    return value
+
+
+def row_read_score_csv(path):
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in COLUMNS if c not in header]
+        if missing:
+            raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")
+        columns = [header.index(c) for c in COLUMNS]
+        for row in reader:
+            if not row:
+                continue
+            try:
+                sample_id, membership, raw, filtered, hf = (row[i] for i in columns)
+                record = ScoreRecord(sample_id, int(membership), _finite("score_raw", raw),
+                                     _finite("score_filtered", filtered) if filtered else None,
+                                     _finite("hf_content", hf))
+                if record.membership not in (0, 1):
+                    raise ValueError(f"membership must be 0 or 1, got {membership!r}")
+                if records and (not filtered) != (records[0].score_filtered is None):
+                    raise ValueError("score_filtered must be filled on every row or on none")
+                records.append(record)
+            except (IndexError, ValueError) as exc:
+                raise IngestionError(f"{path}, line {reader.line_num}: {exc}") from exc
+    if not records:
+        raise IngestionError(f"{path}: no score rows")
+    return records
+
+
+# --- inputs ----------------------------------------------------------------
+
+def tied_records(seed, n=40, filtered=True):
+    """Scores on coarse grids, so most values tie; both classes present."""
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 8, n) / 4.0
+    filt = rng.integers(0, 5, n) * 0.3
+    hf = rng.random(n)
+    labels = rng.integers(0, 2, n)
+    labels[:2] = (0, 1)
+    return [ScoreRecord(f"s{i}", int(m), float(r), float(f) if filtered else None, float(h))
+            for i, (m, r, f, h) in enumerate(zip(labels, raw, filt, hf))]
+
+
+def edge_records():
+    values = EDGE_FLOATS + [0.1, 0.1]  # ties
+    return [ScoreRecord(name, i % 2, v, values[-1 - i], abs(v))
+            for i, (name, v) in enumerate(zip(
+                ["a", "b,c", 'q"d', " e", "f g", "h", "i", "j", "k", "l"], values))]
+
+
+def _bits(x):
+    return None if x is None else float(x).hex()
+
+
+# --- evaluation ------------------------------------------------------------
+
+class TestSplitScores:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("use_filtered", [False, True])
+    def test_same_array_bytes(self, seed, use_filtered):
+        records = tied_records(seed)
+        for got, want in zip(_split_scores(records, use_filtered),
+                             row_split_scores(records, use_filtered)):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    def test_edge_floats_keep_their_bits(self):
+        records = edge_records()
+        for use_filtered in (False, True):
+            for got, want in zip(_split_scores(records, use_filtered),
+                                 row_split_scores(records, use_filtered)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["none", "nan", "one_class", "empty"])
+    def test_same_error(self, case):
+        records = tied_records(3)
+        use_filtered = case == "none"
+        if case == "none":
+            records[5] = records[5]._replace(score_filtered=None)
+            records[9] = records[9]._replace(score_filtered=float("nan"))
+        elif case == "nan":
+            records[7] = records[7]._replace(score_raw=float("nan"))
+        elif case == "one_class":
+            records = [r._replace(membership=1) for r in records]
+        else:
+            records = []
+        with pytest.raises(EvaluationError) as want:
+            row_split_scores(records, use_filtered)
+        with pytest.raises(EvaluationError) as got:
+            _split_scores(records, use_filtered)
+        assert str(got.value) == str(want.value)
+
+
+class TestFailedSampleHf:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_same_floats_and_empty_groups(self, seed):
+        records = tied_records(100 + seed, n=12 + seed)
+        for use_filtered in (False, True):
+            column = "score_filtered" if use_filtered else "score_raw"
+            distinct = sorted({getattr(r, column) for r in records})
+            _, best = compute_asr(records, use_filtered)
+            for tau in [-math.inf, *distinct, best, math.inf]:
+                got = failed_sample_hf_analysis(records, tau, use_filtered)
+                want = row_failed_sample_hf_analysis(records, tau, use_filtered)
+                assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+class TestRocCsv:
+    def test_same_bytes_on_edge_values(self, tmp_path):
+        curve = RocCurve(
+            thresholds=np.array([-np.inf, -1e308, -0.0, 5e-324, 0.1, 1.0 / 3.0, 1e308]),
+            fpr=np.array([0.0, -0.0, 0.25, 0.25, 0.5, 0.5, 1.0]),
+            tpr=np.array([0.0, 1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0, 1.0, 1.0]),
+        )
+        write_roc_csv(curve, tmp_path / "new.csv")
+        row_write_roc_csv(curve, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_bytes_on_tied_curves(self, tmp_path, seed):
+        for use_filtered in (False, True):
+            curve = compute_roc(tied_records(seed, n=60), use_filtered)
+            write_roc_csv(curve, tmp_path / "new.csv")
+            row_write_roc_csv(curve, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# --- score files -----------------------------------------------------------
+
+class TestScoreCsvWrite:
+    @pytest.mark.parametrize("records", [edge_records(), tied_records(4), tied_records(5, filtered=False),
+                                         [], [ScoreRecord("a", 1, 0.5, 0.25, 0.1),
+                                              ScoreRecord("b", 0, 0.5, None, 0.1)]],
+                             ids=["edge", "tied", "no_filter", "empty", "mixed_filter"])
+    def test_same_bytes(self, tmp_path, records):
+        write_score_csv(records, tmp_path / "new.csv")
+        row_write_score_csv(records, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestScoreCsvRead:
+    @pytest.mark.parametrize("records", [edge_records(), tied_records(6), tied_records(7, filtered=False)],
+                             ids=["edge", "tied", "no_filter"])
+    def test_exact_round_trip(self, tmp_path, records):
+        path = tmp_path / "scores.csv"
+        write_score_csv(records, path)
+        loaded = read_score_csv(path)
+        assert loaded == row_read_score_csv(path) == records
+        assert all(type(r) is ScoreRecord for r in loaded)
+        assert [[_bits(x) for x in r[2:]] for r in loaded] == [[_bits(x) for x in r[2:]] for r in records]
+
+    def test_cells_that_float_and_int_accept_are_accepted(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("sample_id,membership,score_raw,score_filtered,hf_content\n"
+                        "a, 1, 0.5,1_000.5,+1.5\n"
+                        "b,+0,1E-3,١٢,0.25\n"
+                        "\n"
+                        '"c\nd",0_1,-0.0,5e-324,1e308\n')
+        loaded = read_score_csv(path)
+        want = row_read_score_csv(path)
+        assert loaded == want
+        assert [r.membership for r in loaded] == [1, 0, 1]
+        assert [[_bits(x) for x in r[2:]] for r in loaded] == [[_bits(x) for x in r[2:]] for r in want]
+
+    @pytest.mark.parametrize("body", [
+        "a,1,oops,,0.25\n",
+        "a,yes,0.5,,0.25\n",
+        "a,1\n",
+        "a,2,0.5,,0.25\n",
+        "b,0,0.7,0.6,0.25\na,1,nan,,0.25\n",
+        "b,0,0.7,0.6,0.25\na,1,0.5,inf,0.25\n",
+        "b,0,0.7,0.6,0.25\na,1,0.5,0.4,-inf\n",
+        "a,1,0.5,0.4,0.25\nb,0,0.7,,0.25\n",
+        "a,1,0.5,,0.25\nb,0,0.7,0.6,0.25\n",
+        "a,1,0.5,,0.25\nb,0,0.7,oops,0.25\n",
+        "a,1,0.5,0.4,0.25\nb,0,nan,0.6,0.25\n",
+        "a,1,0.5,,0.25\n\n\nb,2,nan,,0.25\n",
+        '"x\ny",1,0.5,,0.25\nb,0,0.7,,zz\n',
+        "a,1,0.5,,0.25\nb,0\nc,1,bad,,0.25\n",
+        "a,1,bad,,0.25\nb,0\n",
+        "a,1,0.5,,0.25\nb,0,0.5,,nan\nc,7,0.5,,0.25\n",
+        "a,1,bad,,zz\n",
+        "a,2,0.5,,nan\n",
+        "a,x,nan,,0.25\n",
+    ])
+    def test_same_line_and_message(self, tmp_path, body):
+        path = tmp_path / "scores.csv"
+        path.write_text("sample_id,membership,score_raw,score_filtered,hf_content\n" + body)
+        with pytest.raises(IngestionError) as want:
+            row_read_score_csv(path)
+        with pytest.raises(IngestionError) as got:
+            read_score_csv(path)
+        where, _, detail = str(want.value).partition(": ")
+        got_where, _, got_detail = str(got.value).partition(": ")
+        assert got_where == where
+        # a cell that does not parse is now prefixed with its column
+        assert got_detail == detail or got_detail.endswith(": " + detail)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_bad_row_of_corrupted_files(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "scores.csv"
+        write_score_csv(tied_records(seed, n=20), path)
+        lines = path.read_text().splitlines()
+        bad_cells = ["", "x", "nan", "-inf", "2", "1.5", " ", "1e999"]
+        for _ in range(int(rng.integers(1, 4))):
+            row = int(rng.integers(1, len(lines)))
+            cells = lines[row].split(",")
+            if rng.random() < 0.1:
+                cells = cells[:int(rng.integers(1, 5))]
+            else:
+                cells[int(rng.integers(1, 5))] = bad_cells[int(rng.integers(len(bad_cells)))]
+            lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            want = row_read_score_csv(path)
+        except IngestionError as exc:
+            with pytest.raises(IngestionError) as got:
+                read_score_csv(path)
+            where, _, detail = str(exc).partition(": ")
+            got_where, _, got_detail = str(got.value).partition(": ")
+            assert got_where == where
+            assert got_detail == detail or got_detail.endswith(": " + detail)
+        else:
+            assert read_score_csv(path) == want
