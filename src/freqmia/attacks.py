@@ -247,7 +247,8 @@ def read_score_csv(path) -> list[ScoreRecord]:
     other than 0 or 1, a ``score_filtered`` column filled on some rows
     only, a repeated sample id, or a file without rows raises
     :class:`IngestionError` naming the file (and, for a bad row, its line
-    and column). When several rows are bad, the first one is reported.
+    and column; for a row with too few cells, the first column it lacks and
+    its cell count). When several rows are bad, the first one is reported.
 
     The file is read in one pass and parsed column by column: one
     conversion and one array check per column. The raw cells are freed as
@@ -269,7 +270,9 @@ def read_score_csv(path) -> list[ScoreRecord]:
     failures = []
     short = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) <= max(index))
     if short.size:
-        failures.append((int(short[0]), 0, "list index out of range"))
+        cells = len(rows[short[0]])
+        lacks = next(c for c, i in zip(_COLUMNS, index) if i >= cells)
+        failures.append((int(short[0]), 0, f"{lacks}: missing, the row has {cells} cell(s)"))
         del rows[short[0]:]
     ids, labels, raw, filtered, hf = ([*map(itemgetter(i), rows)] for i in index)
     del rows

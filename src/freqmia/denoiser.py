@@ -155,13 +155,20 @@ class ToyDenoiser:
                            self.emb_dim, self.T)
 
     def _forward_batch(self, inputs: np.ndarray) -> list[np.ndarray]:
-        """Activations per layer for a (B, in) batch; last entry is the output."""
+        """Activations per layer for a (B, in) batch; last entry is the output.
+
+        Every activation is a fresh C-ordered array the caller owns.
+        ``(w @ h.T).T`` is bitwise ``h @ w.T`` and the faster orientation for
+        OpenBLAS at small B; the bias is added into a C-ordered array because
+        reductions over the activations add in layout order.
+        """
         acts = [inputs]
         h = inputs
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            h = z if i == last else np.tanh(z)
+            h = np.add((w @ h.T).T, b, order="C")
+            if i != last:
+                np.tanh(h, out=h)
             acts.append(h)
         return acts
 
@@ -187,29 +194,48 @@ def batch_loss_and_grads(den: ToyDenoiser, x0_batch, t_batch, eps_batch, sched: 
     mean squared error between the drawn and the predicted noise over all
     elements of the batch, averaged in float64, and its gradient as one
     vector laid out like ``den.params``, in its dtype. Timesteps follow the
-    contract of :meth:`ToyDenoiser.predict_batch`.
+    contract of :meth:`ToyDenoiser.predict_batch`. The three batches must
+    have one entry per sample, ``eps_batch`` the shape of ``x0_batch``, and
+    each image the model's pixel count; otherwise :class:`ContractViolation`.
+    No argument and no model parameter is written.
     """
     dtype = den.params.dtype
-    x0 = np.asarray(x0_batch, dtype=dtype).reshape(len(x0_batch), -1)
-    eps = np.asarray(eps_batch, dtype=dtype).reshape(len(eps_batch), -1)
+    x0 = np.asarray(x0_batch, dtype=dtype)
+    eps = np.asarray(eps_batch, dtype=dtype)
     t = check_timesteps(np.asarray(t_batch), den.T)
-    x_t = (sched.sqrt_abar[t].astype(dtype, copy=False)[:, None] * x0
-           + sched.sqrt_one_minus_abar[t].astype(dtype, copy=False)[:, None] * eps)
-    inputs = np.concatenate([x_t, _embedding_table(den.T, den.emb_dim, dtype)[t]], axis=1)
+    pixels = den.layer_sizes[-1]
+    if x0.ndim == 0 or eps.shape != x0.shape or np.ndim(t) != 1 or len(t) != len(x0):
+        raise ContractViolation(
+            f"batch shapes do not match: x0 {x0.shape}, t {np.shape(t)}, eps {eps.shape}")
+    if x0.size != len(x0) * pixels:
+        raise ContractViolation(
+            f"image shape {x0.shape[1:]} does not hold the model's {pixels} pixels")
+    x0 = x0.reshape(len(x0), pixels)
+    eps = eps.reshape(len(eps), pixels)
+
+    inputs = np.empty((len(x0), den.layer_sizes[0]), dtype)
+    x_t = inputs[:, :pixels]
+    np.multiply(sched.sqrt_abar[t].astype(dtype, copy=False)[:, None], x0, out=x_t)
+    x_t += sched.sqrt_one_minus_abar[t].astype(dtype, copy=False)[:, None] * eps
+    np.take(_embedding_table(den.T, den.emb_dim, dtype), t, axis=0, out=inputs[:, pixels:])
 
     acts = den._forward_batch(inputs)
-    pred = acts[-1]
-    diff = pred - eps
-    loss = float(np.mean(diff**2, dtype=np.float64))
+    delta = np.subtract(acts[-1], eps, out=acts[-1])
+    loss = float(np.mean(delta**2, dtype=np.float64))
 
     grad = np.empty_like(den.params)
     w_grads, b_grads = layer_views(grad, den.layer_sizes)
-    delta = 2.0 * diff / diff.size
+    delta *= 2.0
+    delta /= delta.size
     for i in range(len(den.weights) - 1, -1, -1):
-        w_grads[i][...] = delta.T @ acts[i]
-        b_grads[i][...] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[i], out=w_grads[i])
+        np.sum(delta, axis=0, out=b_grads[i])
         if i > 0:
-            delta = (delta @ den.weights[i]) * (1.0 - acts[i] ** 2)
+            slope = acts[i]  # 1 - a**2, formed in the activation this call owns
+            slope *= slope
+            np.subtract(1.0, slope, out=slope)
+            delta = delta @ den.weights[i]
+            delta *= slope
     return loss, grad
 
 
@@ -232,7 +258,7 @@ def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
                                  config.seed).astype(np.float32)
     rng = derive_rng(config.seed, "denoiser-train")
     vel = np.zeros_like(den.params)
-    flat_dim = int(np.prod(images.shape[1:]))
+    images = images.reshape(n, -1)
 
     trace = []
     for epoch in range(config.epochs):
@@ -241,8 +267,8 @@ def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             t = rng.integers(0, sched.T, size=len(idx))
-            eps = rng.standard_normal((len(idx), flat_dim), dtype=np.float32)
-            loss, grad = batch_loss_and_grads(den, images[idx], t, eps, sched)
+            eps = rng.standard_normal((len(idx), images.shape[1]), dtype=np.float32)
+            loss, grad = batch_loss_and_grads(den, np.take(images, idx, axis=0), t, eps, sched)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
             grad *= config.learning_rate

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import freqmia
 from freqmia.cli import main
 from test_experiment import tiny_config
 
@@ -12,6 +17,19 @@ def config_path(tmp_path):
     path = tmp_path / "config.ini"
     config.to_file(path)
     return path
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(freqmia.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "freqmia", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: freqmia ") and "verify-prop" in done.stdout
+    bad = subprocess.run([sys.executable, "-m", "freqmia", "run", "--config", "ghost.ini"],
+                         env=env, capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert bad.returncode == 1 and "ghost.ini" in bad.stderr
 
 
 class TestRunCommand:
@@ -165,6 +183,18 @@ class TestMalformedInputs:
         assert main(["eval", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert "scores_naive.csv, line 4: sample_id 'a' repeats line 2" in err
+        assert not list(out.glob("metrics_*.json"))
+
+    def test_short_score_row_names_missing_column_exits_1(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        for kind in ("naive", "pia", "secmi"):
+            (out / f"scores_{kind}.csv").write_text(
+                "sample_id,membership,score_raw,score_filtered,hf_content\n"
+                "a,1,0.5,,0.25\nb,0\nc,1\n")
+        assert main(["eval", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "scores_naive.csv, line 3: score_raw: missing, the row has 2 cell(s)" in err
         assert not list(out.glob("metrics_*.json"))
 
     def test_truncated_model_exits_1(self, tmp_path, config_path, capsys):

@@ -53,7 +53,7 @@ def per_layer_momentum_train(images, config, sched, hidden_sizes, emb_dim):
     as the denoiser trained before its parameters became one vector."""
     den = ToyDenoiser.initialize(images.shape[1:], hidden_sizes, emb_dim, sched.T,
                                  config.seed).astype(np.float32)
-    images = images.astype(np.float32)
+    images = images.astype(np.float32).reshape(len(images), -1)
     weights = [w.copy() for w in den.weights]
     biases = [b.copy() for b in den.biases]
     vel_w = [np.zeros_like(w) for w in weights]
@@ -118,6 +118,45 @@ def per_step_root_and_embedding_train(images, config, sched, hidden_sizes, emb_d
             vel -= config.learning_rate * grad
             den.params += vel
     return den.params.astype(np.float64)
+
+
+def out_of_place_forward(den, inputs):
+    """Reference for ToyDenoiser._forward_batch: ``h @ w.T + b`` and an out
+    of place tanh per layer, as the forward pass ran before its matmuls
+    were turned and its activations formed in place."""
+    acts = [inputs]
+    h = inputs
+    last = len(den.weights) - 1
+    for i, (w, b) in enumerate(zip(den.weights, den.biases)):
+        z = h @ w.T + b
+        h = z if i == last else np.tanh(z)
+        acts.append(h)
+    return acts
+
+
+def out_of_place_loss_and_grads(den, x0_batch, t_batch, eps_batch, sched):
+    """Reference for batch_loss_and_grads: inputs built by concatenation,
+    the gradient formed by temporaries and copied into the flat vector, as
+    the backward pass ran before it wrote in place."""
+    dtype = den.params.dtype
+    x0 = np.asarray(x0_batch, dtype=dtype).reshape(len(x0_batch), -1)
+    eps = np.asarray(eps_batch, dtype=dtype).reshape(len(eps_batch), -1)
+    t = np.asarray(t_batch)
+    x_t = (sched.sqrt_abar[t].astype(dtype, copy=False)[:, None] * x0
+           + sched.sqrt_one_minus_abar[t].astype(dtype, copy=False)[:, None] * eps)
+    inputs = np.concatenate([x_t, _embedding_table(den.T, den.emb_dim, dtype)[t]], axis=1)
+    acts = out_of_place_forward(den, inputs)
+    diff = acts[-1] - eps
+    loss = float(np.mean(diff**2, dtype=np.float64))
+    grad = np.empty_like(den.params)
+    w_grads, b_grads = layer_views(grad, den.layer_sizes)
+    delta = 2.0 * diff / diff.size
+    for i in range(len(den.weights) - 1, -1, -1):
+        w_grads[i][...] = delta.T @ acts[i]
+        b_grads[i][...] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ den.weights[i]) * (1.0 - acts[i] ** 2)
+    return loss, grad
 
 
 class TestEmbedding:
@@ -282,6 +321,96 @@ class TestGradients:
         # float32 round-off (6e-8) grown over a few hundred summed terms
         assert np.linalg.norm(grad32 - grad64) / np.linalg.norm(grad64) < 1e-5
         assert loss32 == pytest.approx(loss64, rel=1e-5)
+
+
+class TestInPlaceStepIsBitwise:
+    """The forward and backward passes match their out-of-place references
+    byte for byte, at the default shapes (16x16, embedding 16) and at the
+    batch sizes where OpenBLAS picks different kernels."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hidden", [(256,), (64, 32)])
+    @pytest.mark.parametrize("batch", [1, 7, 8, 32])
+    def test_loss_and_gradient_bytes(self, std_sched, dtype, hidden, batch):
+        den = ToyDenoiser.initialize((1, 16, 16), hidden, 16, std_sched.T, seed=21).astype(dtype)
+        rng = np.random.default_rng(batch)
+        for _ in range(3):
+            x0 = rng.uniform(-1.0, 1.0, (batch, 1, 16, 16)).astype(dtype)
+            eps = rng.standard_normal((batch, 1, 16, 16)).astype(dtype)
+            t = rng.integers(0, std_sched.T, size=batch)
+            loss, grad = batch_loss_and_grads(den, x0, t, eps, std_sched)
+            want_loss, want_grad = out_of_place_loss_and_grads(den, x0, t, eps, std_sched)
+            assert loss == want_loss
+            assert grad.dtype == want_grad.dtype and grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("hidden", [(256,), (64, 32)])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_prediction_bytes(self, std_sched, hidden, batch):
+        den = ToyDenoiser.initialize((1, 16, 16), hidden, 16, std_sched.T, seed=22)
+        rng = np.random.default_rng(batch)
+        x = rng.uniform(-1.0, 1.0, (batch, 256))
+        t = rng.integers(0, std_sched.T, size=batch)
+        emb = _embedding_table(den.T, den.emb_dim, np.dtype(np.float64))[t]
+        inputs = np.concatenate([x, emb], axis=1)
+        want = out_of_place_forward(den, inputs)[-1]
+        assert den.predict_batch(x, t).tobytes() == want.tobytes()
+        for k, step in enumerate(t.tolist()):
+            want_row = out_of_place_forward(den, inputs[k:k + 1])[-1]
+            assert den(x[k].reshape(1, 16, 16), step).tobytes() == want_row.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_arguments_and_params_not_written(self, std_sched, dtype):
+        den = ToyDenoiser.initialize((1, 16, 16), (64, 32), 16, std_sched.T, seed=23).astype(dtype)
+        rng = np.random.default_rng(24)
+        x0 = rng.uniform(-1.0, 1.0, (7, 256)).astype(dtype)
+        eps = rng.standard_normal((7, 256)).astype(dtype)
+        t = rng.integers(0, std_sched.T, size=7)
+        before = [a.tobytes() for a in (x0, t, eps, den.params)]
+        batch_loss_and_grads(den, x0, t, eps, std_sched)
+        assert [a.tobytes() for a in (x0, t, eps, den.params)] == before
+
+
+class TestBatchContract:
+    @pytest.fixture
+    def den(self, sched):
+        return ToyDenoiser.initialize((1, 4, 4), (10,), 4, sched.T, seed=0)
+
+    def test_one_noise_row_for_many_images_rejected(self, den, sched):
+        x0 = np.zeros((6, 1, 4, 4))
+        with pytest.raises(ContractViolation, match="batch shapes"):
+            batch_loss_and_grads(den, x0, np.arange(6), np.ones((1, 1, 4, 4)), sched)
+
+    def test_one_timestep_for_many_images_rejected(self, den, sched):
+        x0 = np.zeros((6, 1, 4, 4))
+        with pytest.raises(ContractViolation, match="batch shapes"):
+            batch_loss_and_grads(den, x0, [7], x0, sched)
+        with pytest.raises(ContractViolation):
+            batch_loss_and_grads(den, x0, 7, x0, sched)
+
+    def test_noise_of_wrong_width_rejected(self, den, sched):
+        x0 = np.zeros((2, 16))
+        with pytest.raises(ContractViolation, match="batch shapes"):
+            batch_loss_and_grads(den, x0, [1, 2], np.zeros((2, 15)), sched)
+        with pytest.raises(ContractViolation, match="batch shapes"):
+            batch_loss_and_grads(den, x0, [1, 2], np.zeros((2, 1, 4, 4)), sched)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 5, 5), (2, 15), (16,)])
+    def test_image_size_not_matching_model_rejected(self, den, sched, shape):
+        x0 = np.zeros(shape)
+        with pytest.raises(ContractViolation, match="16 pixels"):
+            batch_loss_and_grads(den, x0, np.arange(len(x0)), x0, sched)
+
+    def test_scalar_batch_rejected(self, den, sched):
+        with pytest.raises(ContractViolation, match="batch shapes"):
+            batch_loss_and_grads(den, np.float64(0.5), [1], np.float64(0.5), sched)
+
+    def test_flat_and_image_shaped_batches_agree(self, den, sched):
+        rng = np.random.default_rng(3)
+        x0 = rng.standard_normal((3, 1, 4, 4))
+        eps = rng.standard_normal((3, 1, 4, 4))
+        image = batch_loss_and_grads(den, x0, [1, 2, 3], eps, sched)
+        flat = batch_loss_and_grads(den, x0.reshape(3, 16), [1, 2, 3], eps.reshape(3, 16), sched)
+        assert image[0] == flat[0] and image[1].tobytes() == flat[1].tobytes()
 
 
 class TestTraining:

@@ -91,6 +91,9 @@ def row_read_score_csv(path):
             if not row:
                 continue
             try:
+                lacks = [c for c, i in zip(COLUMNS, columns) if i >= len(row)]
+                if lacks:
+                    raise ValueError(f"{lacks[0]}: missing, the row has {len(row)} cell(s)")
                 sample_id, membership, raw, filtered, hf = (row[i] for i in columns)
                 record = ScoreRecord(sample_id, int(membership), _finite("score_raw", raw),
                                      _finite("score_filtered", filtered) if filtered else None,
@@ -100,7 +103,7 @@ def row_read_score_csv(path):
                 if records and (not filtered) != (records[0].score_filtered is None):
                     raise ValueError("score_filtered must be filled on every row or on none")
                 records.append(record)
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise IngestionError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not records:
         raise IngestionError(f"{path}: no score rows")
