@@ -74,14 +74,15 @@ class AttackConfig:
         if not 0 <= self.t_attack <= sched.T - 1:
             raise ConfigurationError(f"t_attack {self.t_attack} outside schedule [0, {sched.T - 1}]")
         if self.kind == "secmi":
-            if self.t_attack == 0 or self.t_attack % self.stride != 0:
-                raise ConfigurationError(
-                    f"secmi t_attack {self.t_attack} not reachable with stride {self.stride}"
-                )
-            if self.t_attack + self.stride > sched.T - 1:
-                raise ConfigurationError(
-                    f"secmi needs t_attack + stride <= T-1, got {self.t_attack + self.stride}"
-                )
+            _check_secmi_ladder(self.t_attack, self.stride, sched.T)
+
+
+def _check_secmi_ladder(t: int, stride: int, T: int) -> None:
+    """secmi's rule: t is a positive multiple of the stride, and the rung
+    above it, t + stride, is still a timestep of the schedule."""
+    if not (stride >= 1 and t > 0 and t % stride == 0 and t + stride <= T - 1):
+        raise ConfigurationError(f"secmi needs t > 0, t % stride == 0 and t + stride <= T-1, "
+                                 f"got t={t}, stride={stride}, T={T}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,20 +132,22 @@ def naive_pair(x0, t: int, denoiser, sched: NoiseSchedule, seed: int) -> ScorePa
     scores. The target equals x0 up to round-off.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    eps = derive_rng(seed, "naive-eps").standard_normal(x0.shape)
-    x_t = q_sample(x0, t, eps, sched)
-    target = predict_x0(x_t, eps, t, sched)
-    predicted = predict_x0(x_t, denoiser(x_t, int(t)), t, sched)
-    return ScorePair(predicted=predicted, target=target)
+    return _noise_error_pair(x0, t, derive_rng(seed, "naive-eps").standard_normal(x0.shape),
+                             denoiser, sched)
 
 
 def pia_pair(x0, t: int, denoiser, sched: NoiseSchedule) -> ScorePair:
     """Proximal-initialization variant: the noise is the model's own
     prediction at timestep 0, so no randomness is involved."""
     x0 = np.asarray(x0, dtype=np.float64)
-    eps0 = np.asarray(denoiser(x0, 0), dtype=np.float64)
-    x_t = q_sample(x0, t, eps0, sched)
-    target = predict_x0(x_t, eps0, t, sched)
+    return _noise_error_pair(x0, t, np.asarray(denoiser(x0, 0), dtype=np.float64), denoiser, sched)
+
+
+def _noise_error_pair(x0, t: int, eps, denoiser, sched: NoiseSchedule) -> ScorePair:
+    """x0 noised with ``eps`` to t, then mapped back to image space once with
+    ``eps`` (the target) and once with the model's prediction."""
+    x_t = q_sample(x0, t, eps, sched)
+    target = predict_x0(x_t, eps, t, sched)
     predicted = predict_x0(x_t, denoiser(x_t, int(t)), t, sched)
     return ScorePair(predicted=predicted, target=target)
 
@@ -153,10 +156,7 @@ def secmi_pair(x0, t: int, denoiser, sched: NoiseSchedule, stride: int) -> Score
     """Posterior-estimation error at t: deterministically invert x0 up to
     t, then apply one reverse macro-step followed by one denoise
     macro-step and compare against the inverted state."""
-    if t == 0 or t % stride != 0:
-        raise ConfigurationError(f"t={t} not reachable from 0 with stride {stride}")
-    if t + stride > sched.T - 1:
-        raise ConfigurationError(f"t + stride = {t + stride} exceeds schedule top {sched.T - 1}")
+    _check_secmi_ladder(t, stride, sched.T)
     x_tilde = ddim_reverse_chain(x0, 0, t, denoiser, sched, stride)
     up = ddim_reverse_chain(x_tilde, t, t + stride, denoiser, sched, stride)
     predicted = ddim_denoise_chain(up, t + stride, t, denoiser, sched, stride)
@@ -194,7 +194,7 @@ def run_attack(samples, config: AttackConfig, denoiser, sched: NoiseSchedule,
     return records
 
 
-_COLUMNS = ["sample_id", "membership", "score_raw", "score_filtered", "hf_content"]
+_COLUMNS = ScoreRecord._fields
 
 
 def _fmt(x: Optional[float]) -> str:
@@ -207,7 +207,7 @@ def write_score_csv(records, path) -> None:
     rows go out in one ``writerows`` call, which quotes a sample id as
     ``csv`` does."""
     sample_id, membership, *scores = ([*map(attrgetter(c), records)] for c in _COLUMNS)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_COLUMNS)
         writer.writerows(zip(sample_id, membership, *(map(_fmt, col) for col in scores)))
@@ -234,7 +234,7 @@ def _convert(cells, name: str, convert, check: int, failures: list, finite: bool
 def _line_number(path, row: int) -> int:
     """The line on which data row ``row`` (0-based, blank lines skipped)
     of a CSV file ends, as ``csv.reader`` counts lines."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         next(islice(filter(None, reader), row, None))
@@ -254,14 +254,17 @@ def read_score_csv(path) -> list[ScoreRecord]:
     conversion and one array check per column. The raw cells are freed as
     their column is parsed, before the records are built.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in _COLUMNS if c not in header]
-        if missing:
-            raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")
-        index = [header.index(c) for c in _COLUMNS]
-        rows = list(filter(None, reader))  # a blank line reads as []
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = list(filter(None, reader))  # a blank line reads as []
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    missing = [c for c in _COLUMNS if c not in header]
+    if missing:
+        raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")
+    index = [header.index(c) for c in _COLUMNS]
     if not rows:
         raise IngestionError(f"{path}: no score rows")
 

@@ -22,6 +22,7 @@ pipeline stage.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -121,6 +122,31 @@ def _cmd_attack(args) -> int:
     return 0
 
 
+def _read_final_train_loss(out_dir):
+    """Last loss of ``<out_dir>/train_loss.csv``; None without the file or
+    an epoch. A row other than an integer epoch and a finite loss raises
+    :class:`IngestionError` naming the file and line."""
+    path = Path(out_dir) / "train_loss.csv"
+    if not path.is_file():
+        return None
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    loss = None
+    for lineno, line in enumerate(lines[1:], start=2):  # line 1 is the header
+        try:
+            epoch, text = line.split(",")
+            int(epoch)
+            loss = float(text)
+        except ValueError:
+            loss = math.nan
+        if not math.isfinite(loss):
+            raise IngestionError(f"{path}, line {lineno}: expected <epoch>,<finite loss>, "
+                                 f"got {line!r}")
+    return loss
+
+
 def _cmd_eval(args) -> int:
     config = _load_config(args)
     scores = {}
@@ -129,9 +155,10 @@ def _cmd_eval(args) -> int:
         if not score_path.is_file():
             raise ConfigurationError(f"score file not found: {score_path}")
         scores[kind] = read_score_csv(score_path)
+    final_loss = _read_final_train_loss(config.out_dir)
     pipe = Pipeline(config)
     evaluated = {kind: evaluate_stage(pipe, kind, records) for kind, records in scores.items()}
-    report_stage(pipe, evaluated)
+    report_stage(pipe, evaluated, final_loss)
     print(f"evaluated {', '.join(evaluated)}")
     return 0
 
@@ -140,8 +167,7 @@ def _cmd_verify_prop(args) -> int:
     # every input comes from a flag, so an invalid one is a bad flag (exit 1)
     try:
         inputs = PropositionInputs(l_m=args.lm, l_h=args.lh, h_m=args.hm, h_h=args.hh)
-        report = proposition_mc_verify(inputs, n_samples=args.n_samples,
-                                       seed=args.seed if args.seed is not None else 0,
+        report = proposition_mc_verify(inputs, n_samples=args.n_samples, seed=args.seed,
                                        n_trials=args.n_trials)
     except EvaluationError as exc:
         raise ConfigurationError(str(exc)) from exc
@@ -164,7 +190,7 @@ def _read_report_metrics(path) -> dict:
     """The metrics JSON that ``report`` shows, checked for the fields it
     prints; :class:`IngestionError` naming the file otherwise."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             metrics = json.load(fh)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise IngestionError(f"{path}: not a metrics JSON file ({exc})") from exc
@@ -200,7 +226,7 @@ def _cmd_report(args) -> int:
     comparison = out / "comparison.csv"
     if comparison.is_file():
         print()
-        print(comparison.read_text().rstrip("\n"))
+        print(comparison.read_text(encoding="utf-8", errors="replace").rstrip("\n"))
     return 0
 
 
@@ -254,12 +280,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigurationError, IngestionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FreqMiaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (ConfigurationError, IngestionError)) else 2
 
 
 if __name__ == "__main__":

@@ -205,7 +205,11 @@ def ingest_pgm_dir(path) -> list[LabeledSample]:
     samples = []
     shape = None
     listed = {}  # file name -> manifest line
-    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{manifest}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -242,5 +246,5 @@ def export_pgm_dir(samples, path) -> None:
         name = sample.sample_id if sample.sample_id.endswith(".pgm") else f"{sample.sample_id}.pgm"
         write_pgm(root / name, sample.image)
         lines.append(f"{name},{sample.membership}")
-    with open(root / MANIFEST_NAME, "w", newline="\n") as fh:
+    with open(root / MANIFEST_NAME, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -195,8 +195,9 @@ def batch_loss_and_grads(den: ToyDenoiser, x0_batch, t_batch, eps_batch, sched: 
     elements of the batch, averaged in float64, and its gradient as one
     vector laid out like ``den.params``, in its dtype. Timesteps follow the
     contract of :meth:`ToyDenoiser.predict_batch`. The three batches must
-    have one entry per sample, ``eps_batch`` the shape of ``x0_batch``, and
-    each image the model's pixel count; otherwise :class:`ContractViolation`.
+    have one entry per sample and at least one sample, ``eps_batch`` the
+    shape of ``x0_batch``, and each image the model's pixel count; otherwise
+    :class:`ContractViolation`.
     No argument and no model parameter is written.
     """
     dtype = den.params.dtype
@@ -210,6 +211,8 @@ def batch_loss_and_grads(den: ToyDenoiser, x0_batch, t_batch, eps_batch, sched: 
     if x0.size != len(x0) * pixels:
         raise ContractViolation(
             f"image shape {x0.shape[1:]} does not hold the model's {pixels} pixels")
+    if not len(x0):
+        raise ContractViolation("empty batch: the loss is a mean over at least one sample")
     x0 = x0.reshape(len(x0), pixels)
     eps = eps.reshape(len(eps), pixels)
 

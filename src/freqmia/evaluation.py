@@ -19,7 +19,7 @@ so results for trial i do not depend on how many trials run in total.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -56,34 +56,36 @@ def _field(records, name: str, dtype) -> np.ndarray:
     return np.fromiter(map(attrgetter(name), records), dtype, len(records))
 
 
-def _scores_and_labels(records, use_filtered: bool):
-    """The chosen score column as float64 and the membership labels, in
-    record order. A missing or NaN score, or a class without scores,
-    raises :class:`EvaluationError`."""
+def _scores_and_members(records, use_filtered: bool):
+    """The chosen score column as float64 and the member mask (membership
+    1; anything else is a hold-out), in record order. A missing or NaN
+    score, or a class without scores, raises :class:`EvaluationError`."""
     column = "score_filtered" if use_filtered else "score_raw"
     scores = _field(records, column, np.float64)  # None reads as NaN
     missing = np.flatnonzero(np.isnan(scores))
     if missing.size:
         rec = records[missing[0]]
         raise EvaluationError(f"record {rec.sample_id} has no {column} (got {getattr(rec, column)})")
-    labels = _field(records, "membership", np.int64)
-    is_member = labels == 1
+    is_member = _field(records, "membership", np.int64) == 1
     if is_member.all() or not is_member.any():  # all() holds for no records
         raise EvaluationError("need scores from both classes")
-    return scores, labels
+    return scores, is_member
 
 
 def _split_scores(records, use_filtered: bool):
-    """Member and hold-out scores (membership 1 and anything else), each in
-    record order."""
-    scores, labels = _scores_and_labels(records, use_filtered)
-    is_member = labels == 1
+    """Member and hold-out scores, each in record order."""
+    scores, is_member = _scores_and_members(records, use_filtered)
     return scores[is_member], scores[~is_member]
 
 
-def _count_at_or_below(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """How many scores are <= each threshold."""
-    return np.searchsorted(np.sort(scores), thresholds, side="right")
+def _class_counts(records, use_filtered: bool, thresholds):
+    """``(taus, at_m, n_m, at_h, n_h)``: the thresholds ``thresholds``
+    makes of the column's distinct scores, then for members and for
+    hold-outs how many scores are <= each threshold and the class size."""
+    member, holdout = _split_scores(records, use_filtered)
+    taus = thresholds(np.unique(np.concatenate([member, holdout])))
+    at_m, at_h = (np.searchsorted(np.sort(c), taus, side="right") for c in (member, holdout))
+    return taus, at_m, member.size, at_h, holdout.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,25 +104,18 @@ def compute_asr(records, use_filtered: bool = False):
     Candidate thresholds sit midway between adjacent distinct scores, plus
     -inf and +inf. Ties are broken toward the smaller tau.
     """
-    member, holdout = _split_scores(records, use_filtered)
-    distinct = np.unique(np.concatenate([member, holdout]))
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    taus = np.concatenate([[-np.inf], mids, [np.inf]])
-    tprs = _count_at_or_below(member, taus) / member.size
-    tnrs = (holdout.size - _count_at_or_below(holdout, taus)) / holdout.size
-    balanced = (tprs + tnrs) / 2.0
+    taus, at_m, n_m, at_h, n_h = _class_counts(
+        records, use_filtered, lambda d: np.concatenate([[-np.inf], (d[:-1] + d[1:]) / 2.0, [np.inf]]))
+    balanced = (at_m / n_m + (n_h - at_h) / n_h) / 2.0
     best = int(np.argmax(balanced))  # argmax takes the first, i.e. smallest tau
     return float(balanced[best]), float(taus[best])
 
 
 def compute_roc(records, use_filtered: bool = False) -> RocCurve:
     """ROC of the score <= tau rule, tied scores grouped into one vertex."""
-    member, holdout = _split_scores(records, use_filtered)
-    distinct = np.unique(np.concatenate([member, holdout]))
-    thresholds = np.concatenate([[-np.inf], distinct])
-    tpr = _count_at_or_below(member, thresholds) / member.size
-    fpr = _count_at_or_below(holdout, thresholds) / holdout.size
-    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr)
+    thresholds, at_m, n_m, at_h, n_h = _class_counts(
+        records, use_filtered, lambda d: np.concatenate([[-np.inf], d]))
+    return RocCurve(thresholds=thresholds, fpr=at_h / n_h, tpr=at_m / n_m)
 
 
 def auc(curve: RocCurve) -> float:
@@ -288,20 +283,8 @@ class McVerifyReport:
     mc_ratio_post_se: float
 
     def to_json_dict(self) -> dict:
-        d = {
-            "fraction": self.fraction,
-            "n_trials": self.n_trials,
-            "n_samples": self.n_samples,
-            "precondition_met": self.precondition_met,
-            "degenerate": self.degenerate,
-            "population_ratio_pre": self.population_ratio_pre,
-            "population_ratio_post": self.population_ratio_post,
-            "population_holds": self.population_holds,
-            "mc_ratio_pre_mean": self.mc_ratio_pre_mean,
-            "mc_ratio_post_mean": self.mc_ratio_post_mean,
-            "mc_ratio_pre_se": self.mc_ratio_pre_se,
-            "mc_ratio_post_se": self.mc_ratio_post_se,
-        }
+        """Every field in field order, the constraint's three values last."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "constraint"}
         if self.constraint is not None:
             d["k_sq"] = self.constraint.k_sq
             d["f"] = self.constraint.f
@@ -374,10 +357,10 @@ def failed_sample_hf_analysis(records, tau: float, use_filtered: bool = False):
     Failed members score above tau; failed hold-outs score at or below
     it. An empty failure group is reported as None, never as 0.
     """
-    scores, labels = _scores_and_labels(records, use_filtered)
+    scores, is_member = _scores_and_members(records, use_filtered)
     hf = _field(records, "hf_content", np.float64)
-    failed_member = hf[(labels == 1) & (scores > tau)]
-    failed_holdout = hf[(labels == 0) & (scores <= tau)]
+    failed_member = hf[is_member & (scores > tau)]
+    failed_holdout = hf[~is_member & (scores <= tau)]
     mean_m = float(np.mean(failed_member)) if failed_member.size else None
     mean_h = float(np.mean(failed_holdout)) if failed_holdout.size else None
     return mean_m, mean_h
@@ -406,17 +389,17 @@ class MetricsReport:
     advantage: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "asr": self.asr,
-            "auc": self.auc,
-            "tpr_at_1pct_fpr": self.tpr_at_1pct_fpr,
-            "sigma_member": self.sigma_member,
-            "sigma_holdout": self.sigma_holdout,
-            "sigma_ratio": self.sigma_ratio,
-            "ks_member": None if self.ks_member is None else list(self.ks_member),
-            "ks_holdout": None if self.ks_holdout is None else list(self.ks_holdout),
-            "advantage": self.advantage,
-        }
+        """Every field but ``tau``, in field order; the KS pairs as lists."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "tau")
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
+
+
+def _ks_pair(scores) -> Optional[tuple]:
+    """``(statistic, p_value)`` of the normality test, None where undefined."""
+    try:
+        return ks_normality_test(scores)[:2]
+    except EvaluationError:
+        return None
 
 
 def build_metrics_report(records, use_filtered: bool = False) -> MetricsReport:
@@ -431,16 +414,7 @@ def build_metrics_report(records, use_filtered: bool = False) -> MetricsReport:
         sm, sh, ratio = sigma_ratio(records, use_filtered)
     except EvaluationError:
         sm = sh = ratio = None
-    try:
-        ks_m = ks_normality_test(member)
-        ks_member = (ks_m.statistic, ks_m.p_value)
-    except EvaluationError:
-        ks_member = None
-    try:
-        ks_h = ks_normality_test(holdout)
-        ks_holdout = (ks_h.statistic, ks_h.p_value)
-    except EvaluationError:
-        ks_holdout = None
+    ks_member, ks_holdout = map(_ks_pair, (member, holdout))
     return MetricsReport(
         asr=asr,
         tau=tau,
@@ -455,15 +429,20 @@ def build_metrics_report(records, use_filtered: bool = False) -> MetricsReport:
     )
 
 
-def write_metrics_json(report: MetricsReport, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
+def _write_json(obj, path) -> None:
+    """``obj`` as JSON indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def write_metrics_json(report: MetricsReport, path) -> None:
+    _write_json(report.to_json_dict(), path)
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
     """``threshold,fpr,tpr`` with 12 significant digits, LF line endings."""
     columns = (curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist())
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("threshold,fpr,tpr\n")
         fh.writelines(map("{:.12g},{:.12g},{:.12g}\n".format, *columns))

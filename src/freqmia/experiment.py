@@ -21,31 +21,32 @@ staged CLI commands share:
 * :func:`report_stage`    ``failed_hf.json``, ``comparison.csv``,
   ``experiment.json``
 
-All text outputs use LF line endings and '.' decimals. The files a later
-stage reads back (scores and the loss trace) hold ``repr`` floats, so a
-staged run evaluates exactly the values ``run`` holds in memory and writes
-the same bytes.
+All text files are UTF-8 with LF line endings and '.' decimals. The files
+a later stage reads back (scores and the loss trace) hold ``repr`` floats,
+so a staged run evaluates exactly the values ``run`` holds in memory and
+writes the same bytes.
 
-Inputs (dataset, schedule, model file, score CSVs) are loaded before any
-stage, so a bad input raises its own error. If a stage fails, whatever the
-pipeline already wrote moves under ``<out>/partial/`` and an
-:class:`ExperimentError` naming the stage is raised.
+Inputs (config, dataset, schedule, model file, score CSVs, loss trace) are
+loaded and checked before any stage, so a bad input raises its own error.
+If a stage fails, whatever the pipeline already wrote moves under
+``<out>/partial/`` and an :class:`ExperimentError` naming the stage is
+raised.
 """
 
 import configparser
 import csv
-import json
 import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .attacks import AttackConfig, run_attack, write_score_csv
+from .attacks import ATTACK_KINDS, AttackConfig, run_attack, write_score_csv
 from .datasets import DatasetSpec, generate_dataset
 from .denoiser import TrainingConfig, save_denoiser, train_toy_denoiser
 from .diffusion import linear_schedule
 from .errors import ConfigurationError, ExperimentError
 from .evaluation import (
+    _write_json,
     build_metrics_report,
     compute_roc,
     failed_sample_hf_analysis,
@@ -115,7 +116,7 @@ class ExperimentConfig:
     momentum: float = _ini("training", 0.9)
     hidden_sizes: tuple = _ini("training", (256,), parse=_ints)
     embedding_dim: int = _ini("training", 16)
-    attack_kinds: tuple = _ini("attacks", ("naive", "pia", "secmi"), parse=_names, key="kinds")
+    attack_kinds: tuple = _ini("attacks", ATTACK_KINDS, parse=_names, key="kinds")
     q: int = _ini("attacks", 2)
     filter_s: float = _ini("attacks", 0.2)
     filter_rt: float = _ini("attacks", 5.0)
@@ -123,6 +124,13 @@ class ExperimentConfig:
     pia_t: int = _ini("attacks", 200)
     secmi_t: int = _ini("attacks", 100)
     secmi_stride: int = _ini("attacks", 10)
+
+    def __post_init__(self):
+        # a bad attack kind, q, stride or filter fails before any stage
+        for kind in self.attack_kinds:
+            if kind not in ATTACK_KINDS:
+                raise ConfigurationError(f"unknown attack kind {kind!r}; expected one of {ATTACK_KINDS}")
+        self.attack_configs()
 
     def dataset_spec(self) -> DatasetSpec:
         return DatasetSpec(
@@ -171,7 +179,7 @@ class ExperimentConfig:
                 parser.add_section(section)
             parser[section][key] = (",".join(map(str, value)) if isinstance(value, tuple)
                                     else str(value))
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             parser.write(fh)
 
     @classmethod
@@ -182,8 +190,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"config file not found: {path}")
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            parser.read(path)
-        except configparser.Error as exc:
+            parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"{path}: {exc}") from exc
         schema = {(section, key): f for f, section, key in _schema(cls)}
         sections = {section for section, _ in schema}
@@ -201,7 +209,10 @@ class ExperimentConfig:
                     values[f.name] = f.metadata["parse"](text)
                 except ValueError as exc:
                     raise ConfigurationError(f"{path}: [{section}] {key}: {exc}") from exc
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def default_config(seed: int = 0, out_dir: str = "out") -> ExperimentConfig:
@@ -231,7 +242,7 @@ def evaluate_records(records) -> dict:
 
 
 def _write_comparison(path, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = ["attack"]
         for key in METRIC_KEYS:
@@ -299,21 +310,11 @@ def _members(samples):
 
 
 def _write_loss_trace(path, trace) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "loss"])
         for i, loss in enumerate(trace):
             writer.writerow([i, repr(float(loss))])
-
-
-def _final_train_loss(out: Path):
-    """Last loss of ``<out>/train_loss.csv``; None without the file or an epoch."""
-    path = out / "train_loss.csv"
-    if not path.is_file():
-        return None
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return float(rows[-1][1]) if len(rows) > 1 else None
 
 
 def train_stage(pipe: Pipeline, samples, sched):
@@ -351,13 +352,15 @@ def evaluate_stage(pipe: Pipeline, kind: str, records) -> dict:
     return evaluated
 
 
-def report_stage(pipe: Pipeline, evaluated: dict) -> dict:
+def report_stage(pipe: Pipeline, evaluated: dict, final_train_loss) -> dict:
     """Combine the per-attack evaluations (kind -> :func:`evaluate_records`
-    result) into ``failed_hf.json``, ``comparison.csv`` and
-    ``experiment.json``; returns the combined report."""
+    result) and the last training loss, if any, into ``failed_hf.json``,
+    ``comparison.csv`` and ``experiment.json``; returns the combined
+    report."""
     with pipe.stage("report"):
-        report = {"config": {"seed": pipe.config.seed}, "attacks": {}}
         failed_hf = {}
+        report = {"config": {"seed": pipe.config.seed}, "attacks": {}, "failed_hf": failed_hf,
+                  "final_train_loss": final_train_loss}
         comparison_rows = []
         for kind, variants in evaluated.items():
             report["attacks"][kind] = {
@@ -368,14 +371,10 @@ def report_stage(pipe: Pipeline, evaluated: dict) -> dict:
             if "filtered" in variants:
                 comparison_rows.append(
                     (kind, variants["raw"]["metrics"], variants["filtered"]["metrics"]))
-        pipe.emit("failed_hf.json", lambda p: Path(p).write_text(
-            json.dumps(failed_hf, indent=2) + "\n"))
+        pipe.emit("failed_hf.json", lambda p: _write_json(failed_hf, p))
         if comparison_rows:
             pipe.emit("comparison.csv", lambda p: _write_comparison(p, comparison_rows))
-        report["failed_hf"] = failed_hf
-        report["final_train_loss"] = _final_train_loss(pipe.out)
-        pipe.emit("experiment.json", lambda p: Path(p).write_text(
-            json.dumps(report, indent=2) + "\n"))
+        pipe.emit("experiment.json", lambda p: _write_json(report, p))
     return report
 
 
@@ -385,12 +384,13 @@ def run_experiment(config: ExperimentConfig, denoiser_factory=None) -> dict:
     Each attack is evaluated right after it scores. ``denoiser_factory(
     member_images, config, sched)`` replaces training when given; it exists
     so tests can inject stub denoisers. No model file or loss trace is
-    written in that case.
+    written in that case, and the report's ``final_train_loss`` is None.
     """
     pipe = Pipeline(config)
     samples, sched = load_inputs(config)
+    trace = []
     if denoiser_factory is None:
-        denoiser, _ = train_stage(pipe, samples, sched)
+        denoiser, trace = train_stage(pipe, samples, sched)
     else:
         with pipe.stage("train"):
             denoiser = denoiser_factory(_members(samples), config, sched)
@@ -398,4 +398,4 @@ def run_experiment(config: ExperimentConfig, denoiser_factory=None) -> dict:
     for attack_cfg in config.attack_configs():
         records = attack_stage(pipe, attack_cfg, samples, denoiser, sched)
         evaluated[attack_cfg.kind] = evaluate_stage(pipe, attack_cfg.kind, records)
-    return report_stage(pipe, evaluated)
+    return report_stage(pipe, evaluated, trace[-1] if trace else None)

@@ -52,12 +52,13 @@ class FilterSpec:
             raise ConfigurationError(f"threshold radius must be >= 0, got {self.r_t}")
 
 
-def _check_image(image) -> np.ndarray:
-    arr = np.asarray(image, dtype=np.float64)
+def _check_image(image, dtype=np.float64, what: str = "image") -> np.ndarray:
+    """``image`` as a ``dtype`` array of at least 2 dims and finite values."""
+    arr = np.asarray(image, dtype=dtype)
     if arr.ndim < 2:
-        raise ContractViolation(f"image must have at least 2 dims, got shape {arr.shape}")
+        raise ContractViolation(f"{what} must have at least 2 dims, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ContractViolation("image contains non-finite values")
+        raise ContractViolation(f"{what} contains non-finite values")
     return arr
 
 
@@ -77,11 +78,7 @@ def inverse_dft(spec) -> np.ndarray:
     For spectra obtained from real images the imaginary residue is at
     round-off level (< 1e-6 everywhere) and is discarded.
     """
-    arr = np.asarray(spec, dtype=np.complex128)
-    if arr.ndim < 2:
-        raise ContractViolation(f"spectrum must have at least 2 dims, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ContractViolation("spectrum contains non-finite values")
+    arr = _check_image(spec, np.complex128, "spectrum")
     back = np.fft.ifft2(np.fft.ifftshift(arr, axes=(-2, -1)), axes=(-2, -1))
     return back.real
 

@@ -223,6 +223,56 @@ class TestMalformedInputs:
         assert main(["eval", "--config", str(config_path)]) == 1
         assert "scores_naive.csv" in capsys.readouterr().err
 
+    def test_unknown_attack_kind_exits_1_before_training(self, tmp_path, config_path, capsys):
+        text = config_path.read_text()
+        assert "kinds = naive,pia,secmi\n" in text
+        config_path.write_text(text.replace("kinds = naive,pia,secmi", "kinds = naive,pai"))
+        assert main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config.ini" in err and "'pai'" in err
+        assert not (tmp_path / "out" / "model.fmia").exists()
+
+    @pytest.mark.parametrize("last_row", ["0,abc", "0"])
+    def test_malformed_loss_trace_exits_1_before_any_stage(self, tmp_path, config_path, capsys,
+                                                           last_row):
+        for command in ("train", "attack"):
+            assert main([command, "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        trace = out / "train_loss.csv"
+        trace.write_text(trace.read_text() + last_row + "\n")
+        line = len(trace.read_text().splitlines())
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path)]) == 1
+        assert f"train_loss.csv, line {line}: " in capsys.readouterr().err
+        assert not list(out.glob("metrics_*.json")) and not (out / "partial").exists()
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "latin.ini"
+        path.write_bytes(b"[training]\nepochs = 3 # \xff\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "latin.ini" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for i in range(2):
+            (data / f"s{i}.pgm").write_bytes(b"P5\n8 8\n15\n" + bytes([i] * 64))
+        (data / "manifest.csv").write_bytes(b"s0.pgm,1\ns1.pgm,0\n\xff.pgm,1\n")
+        config = tiny_config(tmp_path / "out", dataset_kind="pgm_dir", dataset_path=str(data))
+        config.to_file(tmp_path / "pgm.ini")
+        assert main(["train", "--config", str(tmp_path / "pgm.ini")]) == 1
+        assert "manifest.csv: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_score_csv_exits_1(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        for kind in ("naive", "pia", "secmi"):
+            (out / f"scores_{kind}.csv").write_bytes(
+                b"sample_id,membership,score_raw,score_filtered,hf_content\n"
+                b"a,1,0.5,,0.25\n\xff,0,0.7,,0.25\n")
+        assert main(["eval", "--config", str(config_path)]) == 1
+        assert "scores_naive.csv: not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("override, model_value, config_value", [
         ({"timesteps": 40}, "T=50", "T=40"),
         ({"size": 16}, "(1, 8, 8)", "(1, 16, 16)"),

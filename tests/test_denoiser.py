@@ -404,6 +404,13 @@ class TestBatchContract:
         with pytest.raises(ContractViolation, match="batch shapes"):
             batch_loss_and_grads(den, np.float64(0.5), [1], np.float64(0.5), sched)
 
+    @pytest.mark.parametrize("shape", [(0, 1, 4, 4), (0, 16)])
+    @pytest.mark.filterwarnings("error")
+    def test_empty_batch_rejected(self, den, sched, shape):
+        x0 = np.zeros(shape)
+        with pytest.raises(ContractViolation, match="empty batch"):
+            batch_loss_and_grads(den, x0, np.arange(0), x0, sched)
+
     def test_flat_and_image_shaped_batches_agree(self, den, sched):
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal((3, 1, 4, 4))

@@ -42,7 +42,6 @@ class TestLinearSchedule:
     def test_consistency_invariants(self):
         sched = linear_schedule(100, 1e-3, 0.1)
         sched.validate()
-        assert np.all(sched.alpha == 1.0 - sched.beta)
         assert np.all((sched.alpha_bar > 0) & (sched.alpha_bar < 1))
 
 
@@ -59,17 +58,14 @@ class TestRootTables:
             assert not table.flags.writeable
 
     def test_directly_built_schedule_has_tables(self):
-        sched = NoiseSchedule(T=2, beta=np.array([0.0, 0.4375]), alpha=np.array([1.0, 0.5625]),
-                              alpha_bar=np.array([1.0, 0.5625]))
+        sched = NoiseSchedule(T=2, alpha_bar=np.array([1.0, 0.5625]))
         assert np.array_equal(sched.sqrt_abar, [1.0, 0.75])
         assert np.array_equal(sched.sqrt_one_minus_abar, [0.0, np.sqrt(0.4375)])
 
 
 class TestQSample:
     def test_alpha_bar_one_returns_x0_exactly(self):
-        sched = NoiseSchedule(T=2, beta=np.array([0.0, 0.1]),
-                              alpha=np.array([1.0, 0.9]),
-                              alpha_bar=np.array([1.0, 0.9]))
+        sched = NoiseSchedule(T=2, alpha_bar=np.array([1.0, 0.9]))
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal((1, 4, 4))
         eps = rng.standard_normal((1, 4, 4))
@@ -182,7 +178,7 @@ class TestDdimSteps:
 
     def test_flat_step_is_identity_for_any_denoiser(self):
         abar = np.array([0.9, 0.9, 0.8])
-        sched = NoiseSchedule(T=3, beta=np.zeros(3), alpha=np.ones(3), alpha_bar=abar)
+        sched = NoiseSchedule(T=3, alpha_bar=abar)
         rng = np.random.default_rng(9)
         x = rng.standard_normal((1, 4, 4))
         den = make_const_denoiser(rng.standard_normal((1, 4, 4)))

@@ -283,6 +283,11 @@ class TestConfigFile:
         assert config.epochs == 7
         assert config.dataset_kind == default_config().dataset_kind
 
+    @pytest.mark.parametrize("kinds", [("pai",), ("naive", "pai"), ("naive", "pia", "secmi", "")])
+    def test_unknown_attack_kind_rejected_when_made(self, kinds):
+        with pytest.raises(ConfigurationError, match="unknown attack kind"):
+            tiny_config("x", attack_kinds=kinds)
+
     def test_sub_seeds_derive_from_global_seed(self):
         a = tiny_config("x", seed=1)
         b = tiny_config("x", seed=2)
