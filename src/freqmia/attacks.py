@@ -24,7 +24,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, ddim_denoise_chain, ddim_reverse_chain, predict_x0, q_sample
+from .diffusion import (
+    NoiseSchedule,
+    check_timesteps,
+    ddim_denoise_chain,
+    ddim_reverse_chain,
+    predict_x0,
+    q_sample,
+)
 from .errors import ConfigurationError, ContractViolation, IngestionError
 from .seeding import derive_rng, derive_seed
 from .spectral import FilterSpec, apply_filter, high_frequency_content
@@ -71,8 +78,10 @@ class AttackConfig:
             raise ConfigurationError(f"stride must be >= 1, got {self.stride}")
 
     def validate_for_schedule(self, sched: NoiseSchedule) -> None:
-        if not 0 <= self.t_attack <= sched.T - 1:
-            raise ConfigurationError(f"t_attack {self.t_attack} outside schedule [0, {sched.T - 1}]")
+        try:
+            check_timesteps(self.t_attack, sched.T)
+        except ContractViolation as exc:
+            raise ConfigurationError(f"t_attack: {exc}") from exc
         if self.kind == "secmi":
             _check_secmi_ladder(self.t_attack, self.stride, sched.T)
 

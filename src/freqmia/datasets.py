@@ -20,7 +20,9 @@ PGM (P5) files plus a ``manifest.csv`` mapping ``filename,membership``
 per line.
 """
 
+import os
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,8 +197,8 @@ def ingest_pgm_dir(path) -> list[LabeledSample]:
     """Load every manifest entry from a PGM directory.
 
     All images must share one resolution; any malformed file, missing
-    or repeated entry, or size mismatch raises :class:`IngestionError`
-    naming the offender.
+    or repeated entry, entry name the file system encoding cannot encode,
+    or size mismatch raises :class:`IngestionError` naming the offender.
     """
     root = Path(path)
     manifest = root / MANIFEST_NAME
@@ -222,6 +224,12 @@ def ingest_pgm_dir(path) -> list[LabeledSample]:
         if name in listed:
             raise IngestionError(f"{manifest}:{lineno}: {name!r} repeats line {listed[name]}")
         listed[name] = lineno
+        try:
+            os.fsencode(name)  # Path.is_file() would report such a name as missing
+        except UnicodeEncodeError as exc:
+            raise IngestionError(
+                f"{manifest}:{lineno}: file name {name!r} cannot be encoded in the file system "
+                f"encoding {sys.getfilesystemencoding()!r}") from exc
         file_path = root / name
         if not file_path.is_file():
             raise IngestionError(f"{manifest}:{lineno}: no such file {name!r}")

@@ -14,11 +14,15 @@ the same claim.
 
 Everything here is a pure function of immutable record lists. The
 Monte-Carlo verifier draws each trial from its own spawned child stream,
-so results for trial i do not depend on how many trials run in total.
+so results for trial i do not depend on how many trials run in total, nor
+on how many threads run them.
 """
 
+import contextvars
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import NamedTuple, Optional
@@ -292,6 +296,88 @@ class McVerifyReport:
         return d
 
 
+def _usable_cpus() -> int:
+    """How many CPUs the OS lets this process run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as a Python int: a Python or numpy integer, not a bool,
+    of at least ``minimum``."""
+    if (type(value) is int or isinstance(value, np.integer)) and value >= minimum:
+        return int(value)
+    raise EvaluationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _mc_trials(inputs: PropositionInputs, n_samples: int, children, first: int, step: int,
+               pre_ratios: np.ndarray, post_ratios: np.ndarray) -> None:
+    """Run trials ``first, first + step, ...`` and write their ratios by
+    trial index.
+
+    Each class draws its low component into one buffer and its high one
+    into the other (low_m, high_m, low_h, high_h), scales both in place
+    and adds the low buffer into the high one. The two buffers serve every
+    trial, so nothing is allocated per trial but ``np.std``'s temporary.
+    """
+    low = np.empty(n_samples, dtype=np.float32)
+    total = np.empty(n_samples, dtype=np.float32)
+    classes = ((inputs.l_m, inputs.h_m), (inputs.l_h, inputs.h_h))
+    for i in range(first, len(children), step):
+        rng = np.random.Generator(np.random.PCG64(children[i]))
+        sigma, sigma_post = [], []
+        for l_sd, h_sd in classes:
+            rng.standard_normal(n_samples, dtype=np.float32, out=low)
+            low *= l_sd
+            rng.standard_normal(n_samples, dtype=np.float32, out=total)
+            total *= h_sd
+            np.add(low, total, out=total)
+            sigma.append(np.std(total, ddof=1))
+            sigma_post.append(np.std(low, ddof=1))
+        pre_ratios[i] = sigma[1] / sigma[0]
+        post_ratios[i] = sigma_post[1] / sigma_post[0]
+
+
+def _trial_ratios(inputs: PropositionInputs, n_samples: int, seed: int, n_trials: int):
+    """Each trial's pre- and post-filter hold-out/member ratio, by trial.
+
+    The trials run on one thread per CPU the process may use, at most one
+    per trial; the calling thread is worker 0, so one CPU starts no
+    thread. numpy draws and reduces without holding the interpreter lock,
+    and each trial has its own child stream and writes only its own
+    ratios, so the ratios are the same for any number of workers. An
+    exception in any worker is raised once every worker has joined.
+    """
+    children = np.random.SeedSequence(seed).spawn(n_trials)
+    pre_ratios = np.empty(n_trials)
+    post_ratios = np.empty(n_trials)
+    n_workers = min(n_trials, _usable_cpus())
+    errors = []
+
+    def worker(first: int) -> None:
+        try:
+            _mc_trials(inputs, n_samples, children, first, n_workers, pre_ratios, post_ratios)
+        except BaseException as exc:  # re-raised by the caller after the joins
+            errors.append(exc)
+
+    threads = []
+    try:
+        for first in range(1, n_workers):
+            # the copied context carries the caller's numpy error state
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(worker, first),
+                                      name=f"mc-verify-{first}")
+            thread.start()
+            threads.append(thread)
+        _mc_trials(inputs, n_samples, children, 0, n_workers, pre_ratios, post_ratios)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return pre_ratios, post_ratios
+
+
 def proposition_mc_verify(inputs: PropositionInputs, n_samples: int, seed: int,
                           n_trials: int = 100) -> McVerifyReport:
     """Simulate scores as independent normal low + high components and
@@ -304,35 +390,23 @@ def proposition_mc_verify(inputs: PropositionInputs, n_samples: int, seed: int,
     is at least 1e5 the reported fraction exceeds 0.99. If the
     constraint fails (or is undefined) the report only flags it; nothing
     is asserted.
+
+    ``n_samples``, ``seed`` and ``n_trials`` must be Python or numpy
+    integers (not bools) with ``n_samples >= 10000``, ``seed >= 0`` and
+    ``n_trials >= 1``, else :class:`EvaluationError`. The trials run on
+    every CPU the process may use; the report does not depend on how many.
     """
-    if n_samples < 10_000:
-        raise EvaluationError(f"n_samples must be >= 10000, got {n_samples}")
-    if n_trials < 1:
-        raise EvaluationError(f"n_trials must be >= 1, got {n_trials}")
+    n_samples = _check_count("n_samples", n_samples, 10_000)
+    seed = _check_count("seed", seed, 0)
+    n_trials = _check_count("n_trials", n_trials, 1)
     degenerate = inputs.h_m == 0.0 and inputs.h_h == 0.0
     constraint = None if inputs.h_h == 0.0 else proposition_constraint(inputs)
 
     pop_pre = math.sqrt(inputs.l_h**2 + inputs.h_h**2) / math.sqrt(inputs.l_m**2 + inputs.h_m**2)
     pop_post = inputs.l_h / inputs.l_m
 
-    children = np.random.SeedSequence(int(seed)).spawn(n_trials)
-    hits = 0
-    pre_ratios = np.empty(n_trials)
-    post_ratios = np.empty(n_trials)
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        low_m = rng.standard_normal(n_samples, dtype=np.float32) * inputs.l_m
-        high_m = rng.standard_normal(n_samples, dtype=np.float32) * inputs.h_m
-        low_h = rng.standard_normal(n_samples, dtype=np.float32) * inputs.l_h
-        high_h = rng.standard_normal(n_samples, dtype=np.float32) * inputs.h_h
-        sigma_m = np.std(low_m + high_m, ddof=1)
-        sigma_h = np.std(low_h + high_h, ddof=1)
-        sigma_m_post = np.std(low_m, ddof=1)
-        sigma_h_post = np.std(low_h, ddof=1)
-        pre_ratios[i] = sigma_h / sigma_m
-        post_ratios[i] = sigma_h_post / sigma_m_post
-        if post_ratios[i] > pre_ratios[i]:
-            hits += 1
+    pre_ratios, post_ratios = _trial_ratios(inputs, n_samples, seed, n_trials)
+    hits = int(np.count_nonzero(post_ratios > pre_ratios))
 
     return McVerifyReport(
         fraction=hits / n_trials,

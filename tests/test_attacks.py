@@ -230,9 +230,10 @@ class TestRunAttack:
         with pytest.raises(ConfigurationError):
             AttackConfig(kind="naive", t_attack=10, q=3)
         samples = _make_samples(np.zeros((1, 1, 4, 4)), [1])
-        bad_t = AttackConfig(kind="naive", t_attack=99)
-        with pytest.raises(ConfigurationError):
-            run_attack(samples, bad_t, zero_denoiser, small_sched)
+        for t in (-1, small_sched.T, 99):
+            bad_t = AttackConfig(kind="naive", t_attack=t)
+            with pytest.raises(ConfigurationError, match=f"t_attack: .*got {t}"):
+                run_attack(samples, bad_t, zero_denoiser, small_sched)
         bad_ladder = AttackConfig(kind="secmi", t_attack=13, stride=5)
         with pytest.raises(ConfigurationError):
             run_attack(samples, bad_ladder, zero_denoiser, small_sched)

@@ -263,6 +263,29 @@ class TestMalformedInputs:
         assert main(["train", "--config", str(tmp_path / "pgm.ini")]) == 1
         assert "manifest.csv: not UTF-8" in capsys.readouterr().err
 
+    def test_manifest_name_the_file_system_cannot_encode_exits_1(self, tmp_path):
+        src = str(Path(freqmia.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0", "LC_ALL": "C",
+               "PYTHONCOERCECLOCALE": "0"}
+        probe = subprocess.run([sys.executable, "-c", "import sys; print(sys.getfilesystemencoding())"],
+                               env=env, capture_output=True, text=True, timeout=60)
+        if probe.stdout.strip().lower().replace("-", "") == "utf8":
+            pytest.skip("the file system encoding stays UTF-8 under LC_ALL=C here")
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("s0.pgm", "s1.pgm", "\u00e90.pgm"):
+            (data / name).write_bytes(b"P5\n8 8\n15\n" + bytes([1] * 64))
+        (data / "manifest.csv").write_text("s0.pgm,1\ns1.pgm,0\n\u00e90.pgm,1\n", encoding="utf-8")
+        config = tiny_config(tmp_path / "out", dataset_kind="pgm_dir", dataset_path=str(data))
+        config.to_file(tmp_path / "pgm.ini")
+        done = subprocess.run([sys.executable, "-m", "freqmia", "train", "--config",
+                               str(tmp_path / "pgm.ini")], env=env, capture_output=True, timeout=120)
+        err = done.stderr.decode("utf-8", "replace")
+        assert done.returncode == 1, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "manifest.csv:3" in err and "no such file" not in err
+        assert probe.stdout.strip() in err
+
     def test_non_utf8_score_csv_exits_1(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
@@ -322,7 +345,8 @@ class TestVerifyProp:
         ["--n-trials", "0"],
         ["--lm", "-1"],
         ["--hh", "-0.5"],
-    ], ids=["n_samples_1", "n_trials_0", "negative_lm", "negative_hh"])
+        ["--seed", "-1"],
+    ], ids=["n_samples_1", "n_trials_0", "negative_lm", "negative_hh", "negative_seed"])
     def test_invalid_flag_value_exits_1(self, capsys, flags):
         args = {"--lm": "1", "--lh": "1.2", "--hm": "0.5", "--hh": "0.5",
                 "--n-samples": "20000", "--n-trials": "5"}

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from freqmia import evaluation
 from freqmia.attacks import ScoreRecord
 from freqmia.errors import EvaluationError
 from freqmia.evaluation import (
@@ -386,6 +387,32 @@ class TestPropositionMcVerify:
         inputs = PropositionInputs(l_m=1.0, l_h=1.2, h_m=0.5, h_h=0.5)
         with pytest.raises(EvaluationError):
             proposition_mc_verify(inputs, n_samples=100, seed=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", -1),
+        ("seed", 1.5),
+        ("n_samples", 10_000.0),
+        ("n_trials", 2.0),
+        ("n_trials", True),
+    ], ids=["negative_seed", "float_seed", "float_n_samples", "float_n_trials", "bool_n_trials"])
+    def test_non_integer_or_negative_argument_rejected_before_any_thread(
+            self, monkeypatch, name, value):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(evaluation.threading, "Thread", no_thread)
+        inputs = PropositionInputs(l_m=1.0, l_h=1.2, h_m=0.5, h_h=0.5)
+        kwargs = {"n_samples": 10_000, "seed": 0, "n_trials": 2, name: value}
+        with pytest.raises(EvaluationError, match=f"{name} must be an integer"):
+            proposition_mc_verify(inputs, **kwargs)
+
+    def test_numpy_integer_arguments_accepted(self):
+        inputs = PropositionInputs(l_m=1.0, l_h=1.2, h_m=0.5, h_h=0.5)
+        want = proposition_mc_verify(inputs, n_samples=10_000, seed=5, n_trials=3)
+        got = proposition_mc_verify(inputs, n_samples=np.int64(10_000), seed=np.uint32(5),
+                                    n_trials=np.int16(3))
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
 class TestFailedSampleHf:

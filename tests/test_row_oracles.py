@@ -1,21 +1,39 @@
 """The score-file and evaluation paths work on whole columns. The
 per-record code they replaced is kept here as the oracle: the column code
-must give the same array bytes, floats, file bytes and errors."""
+must give the same array bytes, floats, file bytes and errors. The
+Monte-Carlo verifier runs its trials on several threads; its serial trial
+loop is kept here the same way, and every worker count must give its
+ratio bytes and report."""
 
 import csv
+import hashlib
+import importlib.util
+import json
 import math
+import random
+import sys
+import threading
+import time
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from freqmia import evaluation
 from freqmia.attacks import ScoreRecord, read_score_csv, write_score_csv
 from freqmia.errors import EvaluationError, IngestionError
 from freqmia.evaluation import (
+    McVerifyReport,
+    PropositionInputs,
     RocCurve,
     _split_scores,
     compute_asr,
     compute_roc,
     failed_sample_hf_analysis,
+    proposition_constraint,
+    proposition_mc_verify,
     write_roc_csv,
 )
 
@@ -306,3 +324,193 @@ class TestScoreCsvRead:
             assert got_detail == detail or got_detail.endswith(": " + detail)
         else:
             assert read_score_csv(path) == want
+
+
+# --- the Monte-Carlo verifier ---------------------------------------------
+
+def serial_mc_verify(inputs, n_samples, seed, n_trials):
+    """The verifier as one serial loop with fresh arrays per trial; returns
+    the report and the per-trial pre- and post-filter ratios."""
+    degenerate = inputs.h_m == 0.0 and inputs.h_h == 0.0
+    constraint = None if inputs.h_h == 0.0 else proposition_constraint(inputs)
+    pop_pre = math.sqrt(inputs.l_h**2 + inputs.h_h**2) / math.sqrt(inputs.l_m**2 + inputs.h_m**2)
+    pop_post = inputs.l_h / inputs.l_m
+    children = np.random.SeedSequence(int(seed)).spawn(n_trials)
+    hits = 0
+    pre_ratios = np.empty(n_trials)
+    post_ratios = np.empty(n_trials)
+    for i, child in enumerate(children):
+        rng = np.random.Generator(np.random.PCG64(child))
+        low_m = rng.standard_normal(n_samples, dtype=np.float32) * inputs.l_m
+        high_m = rng.standard_normal(n_samples, dtype=np.float32) * inputs.h_m
+        low_h = rng.standard_normal(n_samples, dtype=np.float32) * inputs.l_h
+        high_h = rng.standard_normal(n_samples, dtype=np.float32) * inputs.h_h
+        sigma_m = np.std(low_m + high_m, ddof=1)
+        sigma_h = np.std(low_h + high_h, ddof=1)
+        sigma_m_post = np.std(low_m, ddof=1)
+        sigma_h_post = np.std(low_h, ddof=1)
+        pre_ratios[i] = sigma_h / sigma_m
+        post_ratios[i] = sigma_h_post / sigma_m_post
+        if post_ratios[i] > pre_ratios[i]:
+            hits += 1
+    report = McVerifyReport(
+        fraction=hits / n_trials,
+        n_trials=n_trials,
+        n_samples=n_samples,
+        precondition_met=constraint.satisfied if constraint is not None else False,
+        degenerate=degenerate,
+        constraint=constraint,
+        population_ratio_pre=pop_pre,
+        population_ratio_post=pop_post,
+        population_holds=pop_post > pop_pre,
+        mc_ratio_pre_mean=float(np.mean(pre_ratios)),
+        mc_ratio_post_mean=float(np.mean(post_ratios)),
+        mc_ratio_pre_se=float(np.std(pre_ratios, ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0,
+        mc_ratio_post_se=float(np.std(post_ratios, ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0,
+    )
+    return report, pre_ratios, post_ratios
+
+
+def _benchmark_points():
+    """The 16 margin points and verifier seeds of the seed-0
+    ``proposition-sweep`` benchmark workload."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    chosen = random.Random(0).sample(workloads.margin_points(), 16)
+    points = []
+    for grid, inputs in chosen:
+        key = "0:" + ":".join(map(str, grid))
+        points.append((inputs, int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "little")))
+    return points
+
+
+def mc_cases():
+    """``(inputs, n_samples, seed, n_trials)``: the benchmark points at 1e4
+    samples and the first at the benchmark's 1e5, a degenerate high band,
+    odd trial counts, sample counts that are not round, and an overflow."""
+    points = _benchmark_points()
+    cases = [(PropositionInputs(**inputs), 10_000, seed, 16) for inputs, seed in points]
+    cases.append((PropositionInputs(**points[0][0]), 100_000, points[0][1], 16))
+    clear = PropositionInputs(l_m=1.0, l_h=1.2, h_m=0.5, h_h=0.5)
+    cases.append((PropositionInputs(l_m=1.0, l_h=1.2, h_m=0.0, h_h=0.0), 10_000, 1, 10))
+    cases += [(clear, 10_000, 40 + n_trials, n_trials) for n_trials in (1, 3, 5, 7)]
+    cases += [(clear, n_samples, 7, 4) for n_samples in (10_001, 12_345)]
+    cases.append((PropositionInputs(l_m=3e38, l_h=3e38, h_m=1e30, h_h=1.0), 10_000, 9, 5))
+    return cases
+
+
+MC_CASES = mc_cases()
+
+
+def _use_cpus(monkeypatch, n_cpus):
+    monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+
+
+def _mc_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("mc-verify-")]
+
+
+class TestMcVerify:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", range(len(MC_CASES)))
+    def test_same_ratio_bytes_and_report(self, monkeypatch, workers, case):
+        inputs, n_samples, seed, n_trials = MC_CASES[case]
+        _use_cpus(monkeypatch, workers)
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow case
+            want, want_pre, want_post = serial_mc_verify(inputs, n_samples, seed, n_trials)
+            pre, post = evaluation._trial_ratios(inputs, n_samples, seed, n_trials)
+            got = proposition_mc_verify(inputs, n_samples, seed, n_trials)
+        assert pre.tobytes() == want_pre.tobytes()
+        assert post.tobytes() == want_post.tobytes()
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+    def test_more_workers_than_cpus_with_fast_switching(self, monkeypatch):
+        inputs, n_samples, seed, _ = MC_CASES[0]
+        want, want_pre, want_post = serial_mc_verify(inputs, n_samples, seed, 7)
+        _use_cpus(monkeypatch, 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            pre, post = evaluation._trial_ratios(inputs, n_samples, seed, 7)
+            elapsed = time.perf_counter() - start
+        finally:
+            sys.setswitchinterval(interval)
+        assert pre.tobytes() == want_pre.tobytes()
+        assert post.tobytes() == want_post.tobytes()
+        assert elapsed < 30.0
+
+    def test_worker_count_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(evaluation.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 3)
+        assert evaluation._usable_cpus() == 3
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: None)
+        assert evaluation._usable_cpus() == 1
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        _use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(evaluation.threading, "Thread", no_thread)
+        inputs, n_samples, seed, n_trials = MC_CASES[0]
+        assert proposition_mc_verify(inputs, n_samples, seed, n_trials) == \
+            serial_mc_verify(inputs, n_samples, seed, n_trials)[0]
+
+    def test_no_thread_outlives_a_normal_return(self, monkeypatch):
+        _use_cpus(monkeypatch, 3)
+        before = threading.active_count()
+        proposition_mc_verify(*MC_CASES[0])
+        assert threading.active_count() == before
+        assert not _mc_threads()
+
+    @pytest.mark.parametrize("failing_trial", [0, 1, 5],
+                             ids=["calling_thread", "worker_1", "worker_2"])
+    def test_worker_error_raised_after_every_worker_joined(self, monkeypatch, failing_trial):
+        class TrialFailed(Exception):
+            pass
+
+        real_pcg64 = np.random.PCG64
+
+        def pcg64(child):
+            if child.spawn_key[-1] == failing_trial:
+                raise TrialFailed(failing_trial)
+            return real_pcg64(child)
+
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(evaluation.np.random, "PCG64", pcg64)
+        before = threading.active_count()
+        inputs, n_samples, seed, _ = MC_CASES[0]
+        with pytest.raises(TrialFailed):
+            proposition_mc_verify(inputs, n_samples, seed, 9)
+        assert threading.active_count() == before
+        assert not _mc_threads()
+
+    def test_workers_use_the_callers_numpy_error_state(self, monkeypatch):
+        inputs, n_samples, seed, n_trials = MC_CASES[-1]  # overflows in every trial
+        _use_cpus(monkeypatch, 3)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            proposition_mc_verify(inputs, n_samples, seed, n_trials)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_peak_memory_is_two_buffers_per_worker(self, monkeypatch, workers):
+        """numpy traces its data buffers. Each worker owns two float32
+        buffers of n and ``np.std`` allocates one more while it runs, in
+        each worker at once at worst: at most 3 per worker, plus one for
+        small objects. Fresh arrays per trial (four draws, the sum and
+        ``np.std``'s temporary) would hold six at once in one worker."""
+        n = 100_000
+        inputs, _, seed, _ = MC_CASES[0]
+        _use_cpus(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            proposition_mc_verify(inputs, n, seed, 2 * workers)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3 * workers + 1) * 4 * n
