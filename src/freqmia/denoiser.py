@@ -155,7 +155,8 @@ class ToyDenoiser:
                            self.emb_dim, self.T)
 
     def _forward_batch(self, inputs: np.ndarray) -> list[np.ndarray]:
-        """Activations per layer for a (B, in) batch; last entry is the output.
+        """Activations per layer for a (B, in) batch, or one (in,) row; last
+        entry is the output.
 
         Every activation is a fresh C-ordered array the caller owns.
         ``(w @ h.T).T`` is bitwise ``h @ w.T`` and the faster orientation for
@@ -180,11 +181,15 @@ class ToyDenoiser:
         return self._forward_batch(np.concatenate([x_flat, emb], axis=1))[-1]
 
     def __call__(self, x, t: int) -> np.ndarray:
+        """The prediction for one image: bitwise ``predict_batch`` on the
+        flattened image at ``[t]``, computed from one 1-D input row."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.image_shape:
             raise ContractViolation(f"input shape {x.shape} != model shape {self.image_shape}")
-        out = self.predict_batch(x.reshape(1, -1), np.array([t]))
-        return out.reshape(self.image_shape)
+        t = check_timesteps(t, self.T)
+        emb = _embedding_table(self.T, self.emb_dim, self.params.dtype)[t]
+        row = np.concatenate((x.reshape(-1), emb))
+        return self._forward_batch(row)[-1].reshape(self.image_shape)
 
 
 def batch_loss_and_grads(den: ToyDenoiser, x0_batch, t_batch, eps_batch, sched: NoiseSchedule):
@@ -299,7 +304,9 @@ def load_denoiser(path) -> ToyDenoiser:
     """Read a model written by :func:`save_denoiser`.
 
     A file that is not FMIA v1 raises :class:`ConfigurationError`; one whose
-    length does not match its header raises :class:`IngestionError`.
+    length does not match its header, or whose body holds a NaN or an
+    infinity, raises :class:`IngestionError` (naming the first such
+    parameter's index in ``params``).
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -319,4 +326,8 @@ def load_denoiser(path) -> ToyDenoiser:
     if len(blob) != expected:
         raise IngestionError(f"{path}: {len(blob)} bytes, the header implies {expected}")
     params = np.frombuffer(blob, dtype="<f8", offset=offset).copy()
+    finite = np.isfinite(params)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise IngestionError(f"{path}: parameter {k} is not finite ({float(params[k])})")
     return ToyDenoiser(params, sizes, (c, h, w), emb_dim, T)

@@ -7,8 +7,8 @@ Timesteps index the schedule arrays directly: ``0 <= t < T``, the contract
 
 All stepping here is the eta = 0 (deterministic) variant, composed into
 strided chains; a chain with ``stride=1`` takes single steps.
-:func:`predict_x0` is the one place that maps a noise estimate back to
-image space.
+:func:`_x0_from_eps` is the one place that maps a noise estimate back to
+image space; :func:`predict_x0` is its checked public form.
 """
 
 from dataclasses import dataclass
@@ -109,21 +109,28 @@ def q_sample(x0, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
     return sched.sqrt_abar[t] * x0 + sched.sqrt_one_minus_abar[t] * eps
 
 
+def _x0_from_eps(x_t, eps, t: int, sched: NoiseSchedule) -> np.ndarray:
+    """(x_t - sqrt(1-abar_t) eps) / sqrt(abar_t) for a checked t and float64
+    arrays; the one place this identity is written."""
+    return (x_t - sched.sqrt_one_minus_abar[t] * eps) / sched.sqrt_abar[t]
+
+
 def predict_x0(x_t, eps_hat, t: int, sched: NoiseSchedule) -> np.ndarray:
     """Invert q_sample given a noise estimate: (x_t - sqrt(1-abar_t) eps) / sqrt(abar_t)."""
     t = check_timesteps(t, sched.T)
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    return (x_t - sched.sqrt_one_minus_abar[t] * eps_hat) / sched.sqrt_abar[t]
+    return _x0_from_eps(x_t, eps_hat, t, sched)
 
 
 def _ddim_step(x, t_src: int, t_dst: int, denoiser, sched: NoiseSchedule) -> np.ndarray:
-    """One deterministic step from t_src to t_dst using eps predicted at t_src."""
-    x = np.asarray(x, dtype=np.float64)
-    eps_hat = np.asarray(denoiser(x, int(t_src)), dtype=np.float64)
+    """One deterministic step from t_src to t_dst using eps predicted at
+    t_src. ``x`` is a float64 array and both timesteps are rungs
+    :func:`_ladder` checked, so only the denoiser's output is checked here."""
+    eps_hat = np.asarray(denoiser(x, t_src), dtype=np.float64)
     if eps_hat.shape != x.shape:
         raise ContractViolation(f"denoiser output shape {eps_hat.shape} != state shape {x.shape}")
-    x0_hat = predict_x0(x, eps_hat, t_src, sched)
+    x0_hat = _x0_from_eps(x, eps_hat, t_src, sched)
     return sched.sqrt_abar[t_dst] * x0_hat + sched.sqrt_one_minus_abar[t_dst] * eps_hat
 
 

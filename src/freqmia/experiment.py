@@ -126,11 +126,17 @@ class ExperimentConfig:
     secmi_stride: int = _ini("attacks", 10)
 
     def __post_init__(self):
-        # a bad attack kind, q, stride or filter fails before any stage
+        # a bad attack kind, q, stride, filter, schedule or attack timestep
+        # fails before any stage
         for kind in self.attack_kinds:
             if kind not in ATTACK_KINDS:
                 raise ConfigurationError(f"unknown attack kind {kind!r}; expected one of {ATTACK_KINDS}")
-        self.attack_configs()
+        sched = linear_schedule(self.timesteps, self.beta_start, self.beta_end)
+        for attack_cfg in self.attack_configs():
+            try:
+                attack_cfg.validate_for_schedule(sched)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"attack {attack_cfg.kind}: {exc}") from exc
 
     def dataset_spec(self) -> DatasetSpec:
         return DatasetSpec(

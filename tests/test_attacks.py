@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_const_denoiser, zero_denoiser
+from freqmia import attacks
 from freqmia.attacks import (
     AttackConfig,
     ScorePair,
@@ -15,7 +16,7 @@ from freqmia.attacks import (
     write_score_csv,
 )
 from freqmia.datasets import LabeledSample
-from freqmia.denoiser import TrainingConfig, train_toy_denoiser
+from freqmia.denoiser import ToyDenoiser, TrainingConfig, train_toy_denoiser
 from freqmia.errors import ConfigurationError, ContractViolation, IngestionError
 from freqmia.seeding import derive_rng
 from freqmia.spectral import FilterSpec, apply_filter
@@ -248,6 +249,56 @@ class TestRunAttack:
             classified = {i for i, s in enumerate(scores) if s <= tau}
             assert previous <= classified
             previous = classified
+
+
+class TestCallCounts:
+    """The benchmark's closed forms, checked in seconds: per sample and
+    attack, 1/2/(t/stride + 2) outermost denoiser calls (``__call__`` or
+    ``predict_batch``, not counting one made inside the other) for
+    naive/pia/secmi, and one ``high_frequency_content`` call."""
+
+    N = 70  # more than one scoring chunk
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = {"predict": 0, "hf": 0}
+        depth = [0]
+
+        def counted(method):
+            def call(*args, **kwargs):
+                counts["predict"] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return call
+
+        for name in ("__call__", "predict_batch"):
+            monkeypatch.setattr(ToyDenoiser, name, counted(getattr(ToyDenoiser, name)))
+        hf = attacks.high_frequency_content
+
+        def counted_hf(*args, **kwargs):
+            counts["hf"] += 1
+            return hf(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, "high_frequency_content", counted_hf)
+        return counts
+
+    def test_denoiser_and_hf_calls_per_sample(self, std_sched, counts):
+        den = ToyDenoiser.initialize((1, 4, 4), (8,), 4, std_sched.T, seed=0)
+        rng = np.random.default_rng(0)
+        samples = [LabeledSample(f"s{i}", rng.uniform(size=(1, 4, 4)), i % 2)
+                   for i in range(self.N)]
+        predicts = {}
+        for kind, t in (("naive", 200), ("pia", 200), ("secmi", 100)):
+            before = counts["predict"]
+            config = AttackConfig(kind=kind, t_attack=t, stride=10, seed=1,
+                                  filter=FilterSpec(s=0.2, r_t=1.0))
+            run_attack(samples, config, den, std_sched)
+            predicts[kind] = (counts["predict"] - before) / self.N
+        assert predicts == {"naive": 1.0, "pia": 2.0, "secmi": 100 / 10 + 2}
+        assert counts["hf"] == 3 * self.N
 
 
 class TestScoreCsv:

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import freqmia
 from freqmia.cli import main
-from test_experiment import tiny_config
+from test_experiment import nan_at_secmi_rung, tiny_config
 
 
 @pytest.fixture()
@@ -55,10 +56,10 @@ class TestRunCommand:
         assert excinfo.value.code == 1
         assert "usage" in capsys.readouterr().err
 
-    def test_runtime_failure_exits_2(self, tmp_path, config_path, capsys):
-        # secmi timestep off the stride ladder fails mid-experiment
-        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"),
-                     "--t-attack", "13"]) == 2
+    def test_runtime_failure_exits_2(self, tmp_path, config_path, capsys, monkeypatch):
+        # a model that predicts NaN on one of secmi's rungs fails mid-experiment
+        nan_at_secmi_rung(monkeypatch)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
         assert "attack:secmi" in capsys.readouterr().err
 
     def test_filter_overrides_change_outputs(self, tmp_path, config_path):
@@ -113,14 +114,14 @@ class TestStagedCommands:
         for name in full:
             assert staged[name] == full[name], name
 
-    def test_staged_stage_failure_reported_like_run(self, tmp_path, config_path, capsys):
-        bad_t = ["--t-attack", "13"]  # off secmi's stride ladder
-        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "r"),
-                     *bad_t]) == 2
+    def test_staged_stage_failure_reported_like_run(self, tmp_path, config_path, capsys,
+                                                    monkeypatch):
+        nan_at_secmi_rung(monkeypatch)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "r")]) == 2
         from_run = capsys.readouterr().err
         assert main(["train", "--config", str(config_path)]) == 0
         capsys.readouterr()
-        assert main(["attack", "--config", str(config_path), *bad_t]) == 2
+        assert main(["attack", "--config", str(config_path)]) == 2
         from_attack = capsys.readouterr().err
         assert "stage 'attack:secmi' failed" in from_attack
         assert from_attack == from_run
@@ -196,6 +197,34 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "scores_naive.csv, line 3: score_raw: missing, the row has 2 cell(s)" in err
         assert not list(out.glob("metrics_*.json"))
+
+    @pytest.mark.parametrize("t_attack, message", [
+        ("5000", "attack naive: t_attack: timesteps must be integers in [0, 50), got 5000"),
+        ("7", "attack secmi: secmi needs t > 0, t % stride == 0"),
+    ], ids=["beyond_T", "off_secmi_ladder"])
+    def test_invalid_attack_timestep_exits_1_before_any_stage(self, tmp_path, config_path,
+                                                              capsys, t_attack, message):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--t-attack", t_attack]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["train", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert main(["attack", "--config", str(config_path), "--t-attack", t_attack]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("scores_*.csv"))
+
+    def test_non_finite_model_parameter_exits_1(self, tmp_path, config_path, capsys):
+        assert main(["train", "--config", str(config_path)]) == 0
+        model = tmp_path / "out" / "model.fmia"
+        blob = bytearray(model.read_bytes())
+        blob[-8 * 3:-8 * 2] = struct.pack("<d", float("nan"))  # the third parameter from the end
+        model.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["attack", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "model.fmia: parameter" in err and "is not finite (nan)" in err
+        assert not list((tmp_path / "out").glob("scores_*.csv"))
 
     def test_truncated_model_exits_1(self, tmp_path, config_path, capsys):
         assert main(["train", "--config", str(config_path)]) == 0

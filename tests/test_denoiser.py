@@ -544,6 +544,21 @@ class TestSerialization:
         with pytest.raises(IngestionError, match="model.fmia"):
             load_denoiser(path)
 
+    @pytest.mark.parametrize("bad, first", [
+        ({0: np.nan}, "0 is not finite \\(nan\\)"),
+        ({37: np.inf, 40: np.nan}, "37 is not finite \\(inf\\)"),
+        ({385: -np.inf}, "385 is not finite \\(-inf\\)"),
+    ], ids=["nan_first", "inf_before_nan", "minus_inf_last"])
+    def test_non_finite_parameter_rejected(self, sched, tmp_path, bad, first):
+        den = ToyDenoiser.initialize((1, 4, 4), (10,), 4, sched.T, seed=8)
+        assert den.params.size == 386
+        for index, value in bad.items():
+            den.params[index] = value
+        path = tmp_path / "model.fmia"
+        save_denoiser(den, path)
+        with pytest.raises(IngestionError, match=f"model.fmia: parameter {first}"):
+            load_denoiser(path)
+
     def test_too_few_layer_sizes_rejected(self, tmp_path):
         path = tmp_path / "one_layer.fmia"
         path.write_bytes(b"FMIA" + struct.pack("<8I", 1, 50, 1, 4, 4, 4, 1, 20))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from freqmia.datasets import LabeledSample, generate_dataset
-from freqmia.denoiser import train_toy_denoiser
+from freqmia.denoiser import ToyDenoiser, train_toy_denoiser
 from freqmia.diffusion import linear_schedule
 from freqmia.errors import ConfigurationError, ExperimentError
 from freqmia.evaluation import auc, compute_roc
@@ -40,6 +40,19 @@ def tiny_config(out_dir, seed=0, **overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def nan_at_secmi_rung(monkeypatch):
+    """Make every ToyDenoiser predict NaN at t=15: of tiny_config's attacks
+    only secmi (t=10, stride 5) visits that timestep, so the run trains and
+    scores naive and pia, then fails at run time in secmi's stage."""
+    call = ToyDenoiser.__call__
+
+    def predict(self, x, t):
+        eps = call(self, x, t)
+        return np.full_like(eps, np.nan) if t == 15 else eps
+
+    monkeypatch.setattr(ToyDenoiser, "__call__", predict)
 
 
 EXPECTED_FILES = [
@@ -95,10 +108,11 @@ class TestRunExperiment:
         b = (tmp_path / "b" / "scores_naive.csv").read_bytes()
         assert a != b
 
-    def test_failure_persists_partials_and_names_stage(self, tmp_path):
-        # secmi_t incompatible with the stride ladder fails at the secmi stage
-        config = tiny_config(tmp_path / "out", secmi_t=13)
-        with pytest.raises(ExperimentError, match="attack:secmi"):
+    def test_failure_persists_partials_and_names_stage(self, tmp_path, monkeypatch):
+        # a model that predicts NaN on one of secmi's rungs fails the secmi stage
+        nan_at_secmi_rung(monkeypatch)
+        config = tiny_config(tmp_path / "out")
+        with pytest.raises(ExperimentError, match="attack:secmi.*non-finite"):
             run_experiment(config)
         partial = tmp_path / "out" / "partial"
         assert (partial / "model.fmia").is_file()
@@ -287,6 +301,28 @@ class TestConfigFile:
     def test_unknown_attack_kind_rejected_when_made(self, kinds):
         with pytest.raises(ConfigurationError, match="unknown attack kind"):
             tiny_config("x", attack_kinds=kinds)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"naive_t": 50}, "attack naive: t_attack: .*got 50"),
+        ({"pia_t": -1}, "attack pia: t_attack: .*got -1"),
+        ({"secmi_t": 13}, "attack secmi: secmi needs .*got t=13, stride=5, T=50"),
+        ({"secmi_t": 45}, "attack secmi: secmi needs .*got t=45, stride=5, T=50"),
+        ({"timesteps": 1}, "T must be >= 2"),
+        ({"beta_end": 1.0}, "need 0 < beta_start <= beta_end < 1"),
+    ])
+    def test_bad_schedule_or_attack_timestep_rejected_when_made(self, tmp_path, overrides,
+                                                                message):
+        with pytest.raises(ConfigurationError, match=message):
+            tiny_config("x", **overrides)
+        valid = tiny_config("x")
+        path = tmp_path / "bad.ini"
+        valid.to_file(path)
+        (key, value), = overrides.items()
+        line = f"{key} = {getattr(valid, key)}\n"
+        assert line in path.read_text()
+        path.write_text(path.read_text().replace(line, f"{key} = {value}\n"))
+        with pytest.raises(ConfigurationError, match=f"bad.ini: {message}"):
+            ExperimentConfig.from_file(path)
 
     def test_sub_seeds_derive_from_global_seed(self):
         a = tiny_config("x", seed=1)

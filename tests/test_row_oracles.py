@@ -3,7 +3,11 @@ per-record code they replaced is kept here as the oracle: the column code
 must give the same array bytes, floats, file bytes and errors. The
 Monte-Carlo verifier runs its trials on several threads; its serial trial
 loop is kept here the same way, and every worker count must give its
-ratio bytes and report."""
+ratio bytes and report. Scoring norms and filters a stack of samples at a
+time, the denoiser builds its own input row and the DDIM chains check their
+timesteps once; the per-sample loop, the ``predict_batch``-based call and
+the fully checked DDIM step are kept here as the oracle, and every record
+must be equal."""
 
 import csv
 import hashlib
@@ -21,9 +25,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freqmia import evaluation
-from freqmia.attacks import ScoreRecord, read_score_csv, write_score_csv
-from freqmia.errors import EvaluationError, IngestionError
+from freqmia import attacks, diffusion, evaluation
+from freqmia.attacks import (
+    AttackConfig,
+    ScoreRecord,
+    read_score_csv,
+    run_attack,
+    write_score_csv,
+)
+from freqmia.datasets import LabeledSample
+from freqmia.denoiser import ToyDenoiser
+from freqmia.diffusion import linear_schedule, predict_x0
+from freqmia.errors import ContractViolation, EvaluationError, IngestionError
 from freqmia.evaluation import (
     McVerifyReport,
     PropositionInputs,
@@ -36,6 +49,7 @@ from freqmia.evaluation import (
     proposition_mc_verify,
     write_roc_csv,
 )
+from freqmia.spectral import FilterSpec, apply_filter, high_frequency_content
 
 COLUMNS = ["sample_id", "membership", "score_raw", "score_filtered", "hf_content"]
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1.0 / 3.0]
@@ -514,3 +528,125 @@ class TestMcVerify:
         finally:
             tracemalloc.stop()
         assert peak <= (3 * workers + 1) * 4 * n
+
+
+# --- scoring ---------------------------------------------------------------
+
+def row_paradigm_score(pair, q, filt):
+    diff = pair.predicted - pair.target
+    if filt is not None:
+        diff = apply_filter(diff, filt)
+    if q == 1:
+        return float(np.sum(np.abs(diff)))
+    return float(np.sqrt(np.sum(diff**2)))
+
+
+class RowDenoiser:
+    """A ToyDenoiser called the way it was before it built its own input
+    row: a one-row ``predict_batch``."""
+
+    def __init__(self, den):
+        self.den = den
+
+    def __call__(self, x, t):
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != self.den.image_shape:
+            raise ContractViolation(f"input shape {x.shape} != model shape {self.den.image_shape}")
+        return self.den.predict_batch(x.reshape(1, -1), np.array([t])).reshape(x.shape)
+
+
+def checked_ddim_step(x, t_src, t_dst, denoiser, sched):
+    x = np.asarray(x, dtype=np.float64)
+    eps_hat = np.asarray(denoiser(x, int(t_src)), dtype=np.float64)
+    if eps_hat.shape != x.shape:
+        raise ContractViolation(f"denoiser output shape {eps_hat.shape} != state shape {x.shape}")
+    x0_hat = predict_x0(x, eps_hat, t_src, sched)
+    return sched.sqrt_abar[t_dst] * x0_hat + sched.sqrt_one_minus_abar[t_dst] * eps_hat
+
+
+def row_run_attack(samples, config, denoiser, sched, monkeypatch, hf_boundary_radius=2.0):
+    """Score one sample at a time, each DDIM step checking its timesteps."""
+    config.validate_for_schedule(sched)
+    records = []
+    with monkeypatch.context() as patch:
+        patch.setattr(diffusion, "_ddim_step", checked_ddim_step)
+        for sample in samples:
+            pair = attacks._build_pair(sample, config, denoiser, sched)
+            raw = row_paradigm_score(pair, config.q, None)
+            filtered = (row_paradigm_score(pair, config.q, config.filter)
+                        if config.filter else None)
+            hf = high_frequency_content(sample.image, hf_boundary_radius)
+            records.append(ScoreRecord(sample.sample_id, int(sample.membership), raw,
+                                       filtered, hf))
+    return records
+
+
+SCORE_T = 40
+SCORE_SIZES = [1, 63, 64, 65, 131]
+
+
+@pytest.fixture(scope="module")
+def score_sched():
+    return linear_schedule(SCORE_T, 1e-3, 0.05)
+
+
+def score_samples(shape, n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [LabeledSample(f"s{i}", rng.uniform(0.0, 1.0, shape), i % 2) for i in range(n)]
+
+
+def _record_bits(records):
+    return [(r.sample_id, r.membership, _bits(r.score_raw),
+             None if r.score_filtered is None else _bits(r.score_filtered), _bits(r.hf_content))
+            for r in records]
+
+
+class TestStackedScoring:
+    @pytest.mark.parametrize("shape", [(1, 6, 6), (3, 5, 4)], ids=["1ch", "3ch"])
+    @pytest.mark.parametrize("filt", [None, FilterSpec(s=0.2, r_t=1.5)], ids=["raw", "filtered"])
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("kind", ["naive", "pia", "secmi"])
+    def test_same_records_as_the_per_sample_loop(self, monkeypatch, score_sched, shape, filt,
+                                                 q, kind):
+        den = ToyDenoiser.initialize(shape, (16,), 8, SCORE_T, seed=5)
+        config = AttackConfig(kind=kind, t_attack=10, stride=5, q=q, seed=3, filter=filt)
+        samples = score_samples(shape, max(SCORE_SIZES))
+        for n in SCORE_SIZES:
+            got = run_attack(samples[:n], config, den, score_sched)
+            want = row_run_attack(samples[:n], config, RowDenoiser(den), score_sched, monkeypatch)
+            assert _record_bits(got) == _record_bits(want), n
+
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 4, 5), (7, 6)], ids=["1ch", "3ch", "2d"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_call_matches_one_row_predict_batch(self, shape, dtype):
+        den = ToyDenoiser.initialize(shape, (24, 12), 8, SCORE_T, seed=6).astype(dtype)
+        x = np.random.default_rng(7).standard_normal(shape)
+        for t in (0, SCORE_T - 1, np.int64(SCORE_T - 1)):
+            want = den.predict_batch(x.reshape(1, -1), [t])[0].reshape(shape)
+            got = den(x, t)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, calls_per_sample", [("naive", 1), ("pia", 2), ("secmi", 4)])
+    def test_nan_prediction_mid_chunk_still_raises(self, monkeypatch, score_sched, kind,
+                                                   calls_per_sample):
+        den = ToyDenoiser.initialize((1, 6, 6), (16,), 8, SCORE_T, seed=5)
+        samples = score_samples((1, 6, 6), 100)
+        calls = []
+
+        def denoiser(x, t):
+            # NaN from the first call for sample 70, inside the second chunk
+            calls.append(t)
+            eps = den(x, t)
+            return np.full_like(eps, np.nan) if len(calls) == 70 * calls_per_sample + 1 else eps
+
+        config = AttackConfig(kind=kind, t_attack=10, stride=5, seed=3,
+                              filter=FilterSpec(s=0.2, r_t=1.5))
+        with pytest.raises(ContractViolation, match="non-finite") as got:
+            run_attack(samples, config, denoiser, score_sched)
+        assert len(calls) == 100 * calls_per_sample  # the chunk's pairs were built first
+        calls.clear()
+        with pytest.raises(ContractViolation) as want:
+            row_run_attack(samples, config, denoiser, score_sched, monkeypatch)
+        assert len(calls) == 71 * calls_per_sample
+        assert str(got.value) == str(want.value)
