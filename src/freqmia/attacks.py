@@ -1,8 +1,8 @@
 """Error-based membership scoring under a single distance paradigm.
 
 Each attack builds a (predicted, target) image pair for a sample; the
-membership score is the q-norm of their difference, optionally after
-passing both through the high-frequency filter. Lower scores indicate
+membership scores are the q-norm of their difference as it is (raw) and
+after the high-frequency filter (filtered). Lower scores indicate
 membership. Three instantiations are provided:
 
 * naive: compare sampled noise against the model's noise prediction,
@@ -17,7 +17,7 @@ output order follows input order. The denoiser is only read.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
@@ -58,8 +58,8 @@ class AttackConfig:
     """One attack's scoring parameters.
 
     ``stride`` only matters for secmi, where the attack timestep must be a
-    positive multiple of it. ``filter`` enables the filtered score column;
-    when absent only raw scores are produced.
+    positive multiple of it. ``filter`` is required and keyword-only: every
+    attack scores each pair raw and filtered.
     """
 
     kind: str
@@ -67,7 +67,7 @@ class AttackConfig:
     stride: int = 10
     q: int = 2
     seed: int = 0
-    filter: Optional[FilterSpec] = None
+    filter: FilterSpec = field(kw_only=True)
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
@@ -114,7 +114,7 @@ class ScoreRecord(NamedTuple):
     sample_id: str
     membership: int
     score_raw: float
-    score_filtered: Optional[float]
+    score_filtered: float
     hf_content: float
 
 
@@ -215,8 +215,7 @@ def run_attack(samples, config: AttackConfig, denoiser, sched: NoiseSchedule,
         pairs = [_build_pair(sample, config, denoiser, sched) for sample in chunk]
         diffs = np.stack([pair.predicted - pair.target for pair in pairs])
         raw = _q_norms(diffs, config.q).tolist()
-        filtered = (_q_norms(apply_filter(diffs, config.filter), config.q).tolist()
-                    if config.filter else [None] * len(chunk))
+        filtered = _q_norms(apply_filter(diffs, config.filter), config.q).tolist()
         for sample, r, f in zip(chunk, raw, filtered):
             hf = high_frequency_content(sample.image, hf_boundary_radius)
             records.append(ScoreRecord(sample.sample_id, int(sample.membership), r, f, hf))
@@ -226,8 +225,9 @@ def run_attack(samples, config: AttackConfig, denoiser, sched: NoiseSchedule,
 _COLUMNS = ScoreRecord._fields
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else repr(float(x))
+def _fmt(x: float) -> str:
+    """A Python float's ``repr``; numpy 2's ``repr`` of an ``np.float64`` names its type."""
+    return repr(float(x))
 
 
 def write_score_csv(records, path) -> None:
@@ -273,8 +273,7 @@ def _line_number(path, row: int) -> int:
 def read_score_csv(path) -> list[ScoreRecord]:
     """Inverse of :func:`write_score_csv`. A missing column, a cell that
     does not parse, a non-finite score or ``hf_content``, a membership
-    other than 0 or 1, a ``score_filtered`` column filled on some rows
-    only, a repeated sample id, or a file without rows raises
+    other than 0 or 1, a repeated sample id, or a file without rows raises
     :class:`IngestionError` naming the file (and, for a bad row, its line
     and column; for a row with too few cells, the first column it lacks and
     its cell count). When several rows are bad, the first one is reported.
@@ -316,28 +315,18 @@ def read_score_csv(path) -> list[ScoreRecord]:
         failures.append((k, 5, f"membership must be 0 or 1, got {labels[k]!r}"))
     del labels
     raw = _convert(raw, "score_raw", float, 2, failures, finite=True)
-    filled = np.fromiter(map(bool, filtered), bool, len(filtered))
-    at = np.flatnonzero(filled)
-    found = []  # positions among the filled cells
-    filtered = _convert([*map(filtered.__getitem__, at.tolist())], "score_filtered", float, 3,
-                        found, finite=True)
-    failures += [(int(at[k]), check, message) for k, check, message in found]
+    filtered = _convert(filtered, "score_filtered", float, 3, failures, finite=True)
     hf = _convert(hf, "hf_content", float, 4, failures, finite=True)
-    mixed = np.flatnonzero(filled != filled[:1])
-    if mixed.size:
-        failures.append((int(mixed[0]), 6, "score_filtered must be filled on every row or on none"))
     if len(set(ids)) < len(ids):
         first = {}
         for k, sample_id in enumerate(ids):
             j = first.setdefault(sample_id, k)
             if j != k:
                 message = f"sample_id {sample_id!r} repeats line {_line_number(path, j)}"
-                failures.append((k, 7, message))
+                failures.append((k, 6, message))
                 break
 
     if failures:
         row, _, message = min(failures)
         raise IngestionError(f"{path}, line {_line_number(path, row)}: {message}")
-    if not filled[0]:
-        filtered = [None] * len(ids)
     return list(map(ScoreRecord._make, zip(ids, membership, raw, filtered, hf)))

@@ -70,14 +70,18 @@ class TrainingConfig:
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
+def _check_embedding_dim(dim: int) -> None:
+    if dim < 0 or dim % 2 != 0:
+        raise ConfigurationError(f"embedding dim must be even and >= 0, got {dim}")
+
+
 def timestep_embedding(t, dim: int) -> np.ndarray:
-    """Sinusoidal embedding of integer timesteps; dim must be even.
+    """Sinusoidal embedding of integer timesteps; dim must be even and >= 0.
 
     Accepts a scalar or a 1-D array of timesteps and returns shape
     (..., dim) with sin halves first, then cos.
     """
-    if dim % 2 != 0:
-        raise ConfigurationError(f"embedding dim must be even, got {dim}")
+    _check_embedding_dim(dim)
     t = np.asarray(t, dtype=np.float64)
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
@@ -96,6 +100,11 @@ def _embedding_table(T: int, dim: int, dtype) -> np.ndarray:
 
 def _param_count(sizes) -> int:
     return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def _check_layer_widths(sizes) -> None:
+    if any(size < 1 for size in sizes):
+        raise ConfigurationError(f"layer widths must be >= 1, got {list(sizes)}")
 
 
 def layer_views(flat: np.ndarray, sizes):
@@ -129,6 +138,7 @@ class ToyDenoiser:
         self.image_shape = tuple(int(d) for d in image_shape)
         self.emb_dim = int(emb_dim)
         self.T = int(T)
+        _check_layer_widths(self.layer_sizes)
         if len(self.layer_sizes) < 2 or self.params.shape != (_param_count(self.layer_sizes),):
             raise ConfigurationError(f"parameters do not fit layer sizes {self.layer_sizes}")
         pixels = int(np.prod(self.image_shape))

@@ -42,9 +42,10 @@ from pathlib import Path
 
 from .attacks import ATTACK_KINDS, AttackConfig, run_attack, write_score_csv
 from .datasets import DatasetSpec, generate_dataset
-from .denoiser import TrainingConfig, save_denoiser, train_toy_denoiser
+from .denoiser import (TrainingConfig, _check_embedding_dim, _check_layer_widths, save_denoiser,
+                       train_toy_denoiser)
 from .diffusion import linear_schedule
-from .errors import ConfigurationError, ExperimentError
+from .errors import ConfigurationError, ContractViolation, ExperimentError
 from .evaluation import (
     _write_json,
     build_metrics_report,
@@ -54,7 +55,7 @@ from .evaluation import (
     write_roc_csv,
 )
 from .seeding import derive_seed
-from .spectral import FilterSpec
+from .spectral import FilterSpec, _check_boundary_radius
 
 __all__ = [
     "ExperimentConfig",
@@ -126,11 +127,15 @@ class ExperimentConfig:
     secmi_stride: int = _ini("attacks", 10)
 
     def __post_init__(self):
-        # a bad attack kind, q, stride, filter, schedule or attack timestep
-        # fails before any stage
-        for kind in self.attack_kinds:
-            if kind not in ATTACK_KINDS:
-                raise ConfigurationError(f"unknown attack kind {kind!r}; expected one of {ATTACK_KINDS}")
+        # a bad training value, layer width, embedding dim, radius, attack kind,
+        # q, stride, filter, schedule or attack timestep fails before any stage
+        self.training_config()
+        _check_layer_widths(self.hidden_sizes)
+        _check_embedding_dim(self.embedding_dim)
+        try:
+            _check_boundary_radius(self.boundary_radius)
+        except ContractViolation as exc:
+            raise ConfigurationError(f"boundary_radius: {exc}") from exc
         sched = linear_schedule(self.timesteps, self.beta_start, self.beta_end)
         for attack_cfg in self.attack_configs():
             try:
@@ -166,7 +171,7 @@ class ExperimentConfig:
         return [
             AttackConfig(
                 kind=kind,
-                t_attack=t_for[kind],
+                t_attack=t_for.get(kind),  # AttackConfig rejects an unknown kind
                 stride=self.secmi_stride,
                 q=self.q,
                 seed=derive_seed(self.seed, "attack", kind),
@@ -229,14 +234,10 @@ def default_config(seed: int = 0, out_dir: str = "out") -> ExperimentConfig:
 
 
 def evaluate_records(records) -> dict:
-    """Metrics for one attack's records: raw column, filtered column when
-    present, and the failed-sample frequency analysis at the ASR-optimal
-    threshold of each column."""
+    """Metrics for one attack's raw and filtered columns, with the
+    failed-sample frequency analysis at each column's ASR-optimal threshold."""
     result = {}
-    has_filter = records[0].score_filtered is not None
     for variant, use_filtered in (("raw", False), ("filtered", True)):
-        if use_filtered and not has_filter:
-            continue
         report = build_metrics_report(records, use_filtered)
         failed_m, failed_h = failed_sample_hf_analysis(records, report.tau, use_filtered)
         result[variant] = {
@@ -247,7 +248,7 @@ def evaluate_records(records) -> dict:
     return result
 
 
-def _write_comparison(path, rows) -> None:
+def _write_comparison(path, evaluated) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = ["attack"]
@@ -255,7 +256,8 @@ def _write_comparison(path, rows) -> None:
             header += [f"{key}_raw", f"{key}_filtered", f"{key}_delta"]
         writer.writerow(header)
         deltas = {key: [] for key in METRIC_KEYS}
-        for kind, raw, filt in rows:
+        for kind, variants in evaluated.items():
+            raw, filt = variants["raw"]["metrics"], variants["filtered"]["metrics"]
             cells = [kind]
             for key in METRIC_KEYS:
                 r, f = getattr(raw, key), getattr(filt, key)
@@ -367,19 +369,14 @@ def report_stage(pipe: Pipeline, evaluated: dict, final_train_loss) -> dict:
         failed_hf = {}
         report = {"config": {"seed": pipe.config.seed}, "attacks": {}, "failed_hf": failed_hf,
                   "final_train_loss": final_train_loss}
-        comparison_rows = []
         for kind, variants in evaluated.items():
             report["attacks"][kind] = {
                 variant: {**data["metrics"].to_json_dict(), "tau": data["metrics"].tau}
                 for variant, data in variants.items()
             }
             failed_hf[kind] = {variant: data["failed_hf"] for variant, data in variants.items()}
-            if "filtered" in variants:
-                comparison_rows.append(
-                    (kind, variants["raw"]["metrics"], variants["filtered"]["metrics"]))
         pipe.emit("failed_hf.json", lambda p: _write_json(failed_hf, p))
-        if comparison_rows:
-            pipe.emit("comparison.csv", lambda p: _write_comparison(p, comparison_rows))
+        pipe.emit("comparison.csv", lambda p: _write_comparison(p, evaluated))
         pipe.emit("experiment.json", lambda p: _write_json(report, p))
     return report
 

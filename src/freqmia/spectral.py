@@ -69,7 +69,7 @@ def forward_dft(image) -> np.ndarray:
     c maps to a single coefficient c*H*W at the center.
     """
     arr = _check_image(image)
-    return np.fft.fftshift(np.fft.fft2(arr, axes=(-2, -1)), axes=(-2, -1))
+    return np.fft.fftshift(_fft2(arr), axes=(-2, -1))
 
 
 def inverse_dft(spec) -> np.ndarray:
@@ -79,8 +79,7 @@ def inverse_dft(spec) -> np.ndarray:
     round-off level (< 1e-6 everywhere) and is discarded.
     """
     arr = _check_image(spec, np.complex128, "spectrum")
-    back = np.fft.ifft2(np.fft.ifftshift(arr, axes=(-2, -1)), axes=(-2, -1))
-    return back.real
+    return _ifft2(np.fft.ifftshift(arr, axes=(-2, -1))).real
 
 
 def radial_grid(height: int, width: int) -> np.ndarray:
@@ -140,6 +139,11 @@ def apply_filter(image, filt: FilterSpec) -> np.ndarray:
     return _ifft2(spec).real
 
 
+def _check_boundary_radius(radius: float) -> None:
+    if not radius >= 0.0:
+        raise ContractViolation(f"boundary radius must be >= 0, got {radius}")
+
+
 def high_frequency_content(image, boundary_radius: float) -> float:
     """Fraction of spectral energy strictly beyond the boundary radius.
 
@@ -150,8 +154,7 @@ def high_frequency_content(image, boundary_radius: float) -> float:
     tables cached per (H, W, radius); the tables are read-only, so
     concurrent calls are safe.
     """
-    if not boundary_radius >= 0.0:
-        raise ContractViolation(f"boundary radius must be >= 0, got {boundary_radius}")
+    _check_boundary_radius(boundary_radius)
     arr = _check_image(image)
     height, width = arr.shape[-2:]
     power = (np.abs(_fft2(arr)) ** 2).reshape(*arr.shape[:-2], height * width)

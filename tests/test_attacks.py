@@ -22,6 +22,9 @@ from freqmia.seeding import derive_rng
 from freqmia.spectral import FilterSpec, apply_filter
 
 
+FILTER = FilterSpec(s=0.2, r_t=5.0)
+
+
 @pytest.fixture(scope="module")
 def images():
     rng = np.random.default_rng(123)
@@ -190,7 +193,7 @@ class TestRunAttack:
     def test_records_follow_input_order_and_permute(self, small_sched, images):
         den = _affine_denoiser()
         samples = _make_samples(images, [1, 1, 0, 0])
-        config = AttackConfig(kind="naive", t_attack=10, q=2, seed=42)
+        config = AttackConfig(kind="naive", t_attack=10, q=2, seed=42, filter=FILTER)
         records = run_attack(samples, config, den, small_sched)
         assert [r.sample_id for r in records] == [s.sample_id for s in samples]
 
@@ -221,28 +224,55 @@ class TestRunAttack:
                 assert 0.0 <= rec.hf_content <= 1.0
 
     def test_empty_dataset_rejected(self, small_sched):
-        config = AttackConfig(kind="naive", t_attack=10)
+        config = AttackConfig(kind="naive", t_attack=10, filter=FILTER)
         with pytest.raises(ConfigurationError):
             run_attack([], config, zero_denoiser, small_sched)
 
     def test_config_validation(self, small_sched):
-        with pytest.raises(ConfigurationError):
-            AttackConfig(kind="unknown", t_attack=10)
-        with pytest.raises(ConfigurationError):
-            AttackConfig(kind="naive", t_attack=10, q=3)
+        with pytest.raises(ConfigurationError, match="unknown attack kind"):
+            AttackConfig(kind="unknown", t_attack=10, filter=FILTER)
+        with pytest.raises(ConfigurationError, match="norm order"):
+            AttackConfig(kind="naive", t_attack=10, q=3, filter=FILTER)
+        with pytest.raises(ConfigurationError, match="stride"):
+            AttackConfig(kind="secmi", t_attack=10, stride=0, filter=FILTER)
         samples = _make_samples(np.zeros((1, 1, 4, 4)), [1])
         for t in (-1, small_sched.T, 99):
-            bad_t = AttackConfig(kind="naive", t_attack=t)
+            bad_t = AttackConfig(kind="naive", t_attack=t, filter=FILTER)
             with pytest.raises(ConfigurationError, match=f"t_attack: .*got {t}"):
                 run_attack(samples, bad_t, zero_denoiser, small_sched)
-        bad_ladder = AttackConfig(kind="secmi", t_attack=13, stride=5)
+        bad_ladder = AttackConfig(kind="secmi", t_attack=13, stride=5, filter=FILTER)
         with pytest.raises(ConfigurationError):
             run_attack(samples, bad_ladder, zero_denoiser, small_sched)
+
+    def test_filter_is_required_and_keyword_only(self):
+        with pytest.raises(TypeError, match="filter"):
+            AttackConfig(kind="naive", t_attack=10)
+        with pytest.raises(TypeError):
+            AttackConfig("naive", 10, 10, 2, 0, FILTER)
+        assert AttackConfig("naive", 10, 10, 2, 0, filter=FILTER).filter == FILTER
+
+    @pytest.mark.parametrize("kind", ["naive", "pia", "secmi"])
+    def test_nan_prediction_for_one_sample_raises(self, small_sched, images, kind):
+        # every score, raw and filtered, comes through the filter's check
+        calls_per_sample = {"naive": 1, "pia": 2, "secmi": 10 // 5 + 2}[kind]
+        calls = []
+
+        def den(x, t):
+            # NaN from the first call for sample 2 of 4, inside one chunk
+            calls.append(t)
+            eps = _affine_denoiser()(x, t)
+            return np.full_like(eps, np.nan) if len(calls) == 2 * calls_per_sample + 1 else eps
+
+        samples = _make_samples(images, [1, 0, 1, 0])
+        config = AttackConfig(kind=kind, t_attack=10, stride=5, seed=1, filter=FILTER)
+        with pytest.raises(ContractViolation, match="non-finite"):
+            run_attack(samples, config, den, small_sched)
+        assert len(calls) == 4 * calls_per_sample
 
     def test_threshold_rule_monotone_in_tau(self, small_sched, images):
         den = _affine_denoiser()
         samples = _make_samples(images, [1, 0, 1, 0])
-        config = AttackConfig(kind="pia", t_attack=10)
+        config = AttackConfig(kind="pia", t_attack=10, filter=FILTER)
         scores = [r.score_raw for r in run_attack(samples, config, den, small_sched)]
         previous = set()
         for tau in sorted(scores) + [max(scores) + 1.0]:
@@ -316,28 +346,23 @@ class TestScoreCsv:
         assert [r.sample_id for r in loaded] == ["a", "b"]
         assert loaded == records
 
-    def test_round_trip_without_filtered_column(self, tmp_path):
-        records = [ScoreRecord("a", 1, 0.123456789012345, None, 0.25),
-                   ScoreRecord("b", 0, 1.5e-7, None, 0.75)]
-        path = tmp_path / "scores.csv"
-        write_score_csv(records, path)
-        assert read_score_csv(path) == records
-
-    def test_mixed_filtered_column_rejected(self, tmp_path):
-        records = [
-            ScoreRecord("a", 1, 0.123456789012345, 0.0012345, 0.25),
-            ScoreRecord("b", 0, 1.5e-7, None, 0.75),
-        ]
-        path = tmp_path / "scores.csv"
-        write_score_csv(records, path)
-        with pytest.raises(IngestionError, match=r"scores\.csv, line 3: score_filtered"):
-            read_score_csv(path)
-
     def test_floats_written_with_repr(self, tmp_path):
-        records = [ScoreRecord("a", 1, 1.0 / 3.0, None, 0.1 + 0.2)]
+        records = [ScoreRecord("a", 1, 1.0 / 3.0, np.float64(2.0 / 3.0), 0.1 + 0.2)]
         path = tmp_path / "scores.csv"
         write_score_csv(records, path)
-        assert path.read_text().splitlines()[1] == f"a,1,{1.0 / 3.0!r},,{0.1 + 0.2!r}"
+        assert path.read_text().splitlines()[1] == f"a,1,{1.0 / 3.0!r},{2.0 / 3.0!r},{0.1 + 0.2!r}"
+
+    @pytest.mark.parametrize("body, line", [
+        ("a,1,0.5,0.4,0.25\nb,0,0.7,,0.25\n", 3),
+        ("a,1,0.5,,0.25\nb,0,0.7,0.6,0.25\n", 2),
+    ], ids=["later_row", "first_row"])
+    def test_empty_filtered_cell_rejected(self, tmp_path, body, line):
+        path = tmp_path / "scores.csv"
+        path.write_text("sample_id,membership,score_raw,score_filtered,hf_content\n" + body)
+        message = f"scores.csv, line {line}: score_filtered: could not convert string to float: ''"
+        with pytest.raises(IngestionError) as excinfo:
+            read_score_csv(path)
+        assert str(excinfo.value).endswith(message)
 
     def test_no_rows_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -352,7 +377,7 @@ class TestScoreCsv:
             read_score_csv(path)
 
     @pytest.mark.parametrize("row, column", [
-        ("a,1,nan,,0.25", "score_raw"),
+        ("a,1,nan,0.4,0.25", "score_raw"),
         ("a,1,0.5,inf,0.25", "score_filtered"),
         ("a,1,0.5,0.4,-inf", "hf_content"),
     ])
@@ -363,7 +388,8 @@ class TestScoreCsv:
         with pytest.raises(IngestionError, match=rf"scores\.csv, line 3: {column} must be finite"):
             read_score_csv(path)
 
-    @pytest.mark.parametrize("row", ["a,1,oops,,0.25", "a,yes,0.5,,0.25", "a,1", "a,2,0.5,,0.25"])
+    @pytest.mark.parametrize("row", ["a,1,oops,0.4,0.25", "a,yes,0.5,0.4,0.25", "a,1",
+                                     "a,2,0.5,0.4,0.25"])
     def test_malformed_cell_rejected(self, tmp_path, row):
         path = tmp_path / "scores.csv"
         path.write_text("sample_id,membership,score_raw,score_filtered,hf_content\n" + row + "\n")

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import struct
@@ -180,7 +181,7 @@ class TestMalformedInputs:
         for kind in ("naive", "pia", "secmi"):
             (out / f"scores_{kind}.csv").write_text(
                 "sample_id,membership,score_raw,score_filtered,hf_content\n"
-                "a,1,0.5,,0.25\nb,0,0.7,,0.25\na,1,0.5,,0.25\n")
+                "a,1,0.5,0.4,0.25\nb,0,0.7,0.6,0.25\na,1,0.5,0.4,0.25\n")
         assert main(["eval", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert "scores_naive.csv, line 4: sample_id 'a' repeats line 2" in err
@@ -192,7 +193,7 @@ class TestMalformedInputs:
         for kind in ("naive", "pia", "secmi"):
             (out / f"scores_{kind}.csv").write_text(
                 "sample_id,membership,score_raw,score_filtered,hf_content\n"
-                "a,1,0.5,,0.25\nb,0\nc,1\n")
+                "a,1,0.5,0.4,0.25\nb,0\nc,1\n")
         assert main(["eval", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert "scores_naive.csv, line 3: score_raw: missing, the row has 2 cell(s)" in err
@@ -240,7 +241,7 @@ class TestMalformedInputs:
         ("sample_id,membership,score_raw,score_filtered,hf_content",
          "a,1,0.5,0.4,0.25\nb,0,0.7,,0.25"),
         ("sample_id,membership,score_raw,score_filtered,hf_content",
-         "a,1,0.5,,0.25\nb,2,0.7,,0.25"),
+         "a,1,0.5,0.4,0.25\nb,2,0.7,0.6,0.25"),
         ("sample_id,membership,score_raw,score_filtered,hf_content",
          "a,1,0.5,0.4,0.25\nb,0,nan,0.6,0.25"),
     ])
@@ -251,6 +252,40 @@ class TestMalformedInputs:
             (out / f"scores_{kind}.csv").write_text(f"{header}\n{rows}\n")
         assert main(["eval", "--config", str(config_path)]) == 1
         assert "scores_naive.csv" in capsys.readouterr().err
+
+    def test_empty_filtered_score_cell_exits_1(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        for kind in ("naive", "pia", "secmi"):
+            (out / f"scores_{kind}.csv").write_text(
+                "sample_id,membership,score_raw,score_filtered,hf_content\n"
+                "a,1,0.5,0.4,0.25\nb,0,0.7,,0.25\n")
+        assert main(["eval", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert ("scores_naive.csv, line 3: score_filtered: could not convert string to float: ''"
+                in err)
+        assert not list(out.glob("metrics_*.json"))
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("training", "batch_size", "0", "batch_size must be >= 1"),
+        ("training", "momentum", "1.0", "momentum must be in [0, 1)"),
+        ("training", "learning_rate", "nan", "learning_rate must be >= 0"),
+        ("training", "embedding_dim", "3", "embedding dim must be even and >= 0, got 3"),
+        ("training", "embedding_dim", "-2", "embedding dim must be even and >= 0, got -2"),
+        ("training", "hidden_sizes", "8,0", "layer widths must be >= 1, got [8, 0]"),
+        ("experiment", "boundary_radius", "-1", "boundary_radius: boundary radius must be >= 0"),
+    ])
+    def test_bad_training_architecture_or_radius_exits_1_before_any_stage(
+            self, tmp_path, config_path, capsys, section, key, value, message):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(config_path, encoding="utf-8")
+        parser[section][key] = value
+        with open(config_path, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        assert main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config.ini" in err and message in err
+        assert not (tmp_path / "out" / "model.fmia").exists()
 
     def test_unknown_attack_kind_exits_1_before_training(self, tmp_path, config_path, capsys):
         text = config_path.read_text()
@@ -321,7 +356,7 @@ class TestMalformedInputs:
         for kind in ("naive", "pia", "secmi"):
             (out / f"scores_{kind}.csv").write_bytes(
                 b"sample_id,membership,score_raw,score_filtered,hf_content\n"
-                b"a,1,0.5,,0.25\n\xff,0,0.7,,0.25\n")
+                b"a,1,0.5,0.4,0.25\n\xff,0,0.7,0.6,0.25\n")
         assert main(["eval", "--config", str(config_path)]) == 1
         assert "scores_naive.csv: not UTF-8" in capsys.readouterr().err
 

@@ -174,6 +174,10 @@ class TestEmbedding:
         with pytest.raises(ConfigurationError):
             timestep_embedding(0.0, 7)
 
+    def test_negative_dim_rejected(self):
+        with pytest.raises(ConfigurationError, match="even and >= 0, got -2"):
+            timestep_embedding(0.0, -2)
+
     @pytest.mark.parametrize("dim", [4, 8, 16])
     def test_table_rows_match_per_call_embedding(self, dim):
         for dtype in (np.dtype(np.float64), np.dtype(np.float32)):
@@ -214,6 +218,11 @@ class TestToyDenoiser:
     def test_params_not_matching_sizes_rejected(self):
         with pytest.raises(ConfigurationError, match="layer sizes"):
             ToyDenoiser(np.zeros(385), [20, 10, 16], (1, 4, 4), 4, 50)
+
+    def test_layer_without_units_rejected(self):
+        # (20 x 0) + 0 + (0 x 16) + 16 parameters fit these sizes
+        with pytest.raises(ConfigurationError, match=r"widths must be >= 1, got \[20, 0, 16\]"):
+            ToyDenoiser(np.zeros(16), [20, 0, 16], (1, 4, 4), 4, 50)
 
     @pytest.mark.parametrize("t", [-1, 50, 2.5, 3.0, True])
     def test_timestep_outside_contract_rejected(self, sched, t):
@@ -563,6 +572,13 @@ class TestSerialization:
         path = tmp_path / "one_layer.fmia"
         path.write_bytes(b"FMIA" + struct.pack("<8I", 1, 50, 1, 4, 4, 4, 1, 20))
         with pytest.raises(ConfigurationError, match="layer sizes"):
+            load_denoiser(path)
+
+    def test_header_with_a_zero_width_layer_rejected(self, tmp_path):
+        path = tmp_path / "hollow.fmia"
+        path.write_bytes(b"FMIA" + struct.pack("<10I", 1, 50, 1, 4, 4, 4, 3, 20, 0, 16)
+                         + np.zeros(16).astype("<f8").tobytes())
+        with pytest.raises(ConfigurationError, match=r"widths must be >= 1, got \[20, 0, 16\]"):
             load_denoiser(path)
 
     def test_bad_magic_rejected(self, tmp_path):

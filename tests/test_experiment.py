@@ -12,6 +12,7 @@ from freqmia.errors import ConfigurationError, ExperimentError
 from freqmia.evaluation import auc, compute_roc
 from freqmia.experiment import ExperimentConfig, default_config, run_experiment
 from freqmia.attacks import run_attack
+from freqmia.spectral import FilterSpec
 
 
 def tiny_config(out_dir, seed=0, **overrides):
@@ -200,7 +201,7 @@ class TestUntrainedControl:
 class TestPairedDesign:
     def test_raw_scores_unchanged_by_filter_config(self, tmp_path):
         # raw and filtered columns come from the same per-sample pairs, so
-        # turning the filter off must not move the raw column
+        # changing the filter's attenuation moves only the filtered column
         config = tiny_config(tmp_path / "out", seed=5)
         samples = generate_dataset(config.dataset_spec())
         sched = linear_schedule(config.timesteps, config.beta_start, config.beta_end)
@@ -209,11 +210,12 @@ class TestPairedDesign:
                                     hidden_sizes=config.hidden_sizes,
                                     emb_dim=config.embedding_dim)
         for attack_cfg in config.attack_configs():
-            with_filter = run_attack(samples, attack_cfg, den, sched)
-            without = run_attack(samples, dataclasses.replace(attack_cfg, filter=None),
-                                 den, sched)
-            assert [r.score_raw for r in with_filter] == [r.score_raw for r in without]
-            assert all(r.score_filtered is None for r in without)
+            assert attack_cfg.filter == FilterSpec(s=0.2, r_t=5.0)
+            attenuated = run_attack(samples, attack_cfg, den, sched)
+            identity = run_attack(samples, dataclasses.replace(
+                attack_cfg, filter=FilterSpec(s=1.0, r_t=5.0)), den, sched)
+            assert [r.score_raw for r in attenuated] == [r.score_raw for r in identity]
+            assert [r.score_filtered for r in attenuated] != [r.score_filtered for r in identity]
 
 
 class TestLabelExchangeability:
@@ -301,6 +303,21 @@ class TestConfigFile:
     def test_unknown_attack_kind_rejected_when_made(self, kinds):
         with pytest.raises(ConfigurationError, match="unknown attack kind"):
             tiny_config("x", attack_kinds=kinds)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"momentum": 1.0}, r"momentum must be in \[0, 1\), got 1.0"),
+        ({"learning_rate": float("nan")}, "learning_rate must be >= 0, got nan"),
+        ({"embedding_dim": 3}, "embedding dim must be even and >= 0, got 3"),
+        ({"embedding_dim": -2}, "embedding dim must be even and >= 0, got -2"),
+        ({"hidden_sizes": (8, 0)}, r"layer widths must be >= 1, got \[8, 0\]"),
+        ({"hidden_sizes": (-3,)}, r"layer widths must be >= 1, got \[-3\]"),
+        ({"boundary_radius": -1.0}, "boundary_radius: boundary radius must be >= 0, got -1.0"),
+        ({"boundary_radius": float("nan")}, "boundary_radius: boundary radius must be >= 0"),
+    ])
+    def test_bad_training_architecture_or_radius_rejected_when_made(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=message):
+            tiny_config("x", **overrides)
 
     @pytest.mark.parametrize("overrides, message", [
         ({"naive_t": 50}, "attack naive: t_attack: .*got 50"),

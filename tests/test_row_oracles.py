@@ -91,7 +91,7 @@ def row_write_roc_csv(curve, path):
 
 
 def _fmt(x):
-    return "" if x is None else repr(float(x))
+    return repr(float(x))
 
 
 def row_write_score_csv(records, path):
@@ -128,12 +128,9 @@ def row_read_score_csv(path):
                     raise ValueError(f"{lacks[0]}: missing, the row has {len(row)} cell(s)")
                 sample_id, membership, raw, filtered, hf = (row[i] for i in columns)
                 record = ScoreRecord(sample_id, int(membership), _finite("score_raw", raw),
-                                     _finite("score_filtered", filtered) if filtered else None,
-                                     _finite("hf_content", hf))
+                                     _finite("score_filtered", filtered), _finite("hf_content", hf))
                 if record.membership not in (0, 1):
                     raise ValueError(f"membership must be 0 or 1, got {membership!r}")
-                if records and (not filtered) != (records[0].score_filtered is None):
-                    raise ValueError("score_filtered must be filled on every row or on none")
                 records.append(record)
             except ValueError as exc:
                 raise IngestionError(f"{path}, line {reader.line_num}: {exc}") from exc
@@ -144,7 +141,7 @@ def row_read_score_csv(path):
 
 # --- inputs ----------------------------------------------------------------
 
-def tied_records(seed, n=40, filtered=True):
+def tied_records(seed, n=40):
     """Scores on coarse grids, so most values tie; both classes present."""
     rng = np.random.default_rng(seed)
     raw = rng.integers(0, 8, n) / 4.0
@@ -152,7 +149,7 @@ def tied_records(seed, n=40, filtered=True):
     hf = rng.random(n)
     labels = rng.integers(0, 2, n)
     labels[:2] = (0, 1)
-    return [ScoreRecord(f"s{i}", int(m), float(r), float(f) if filtered else None, float(h))
+    return [ScoreRecord(f"s{i}", int(m), float(r), float(f), float(h))
             for i, (m, r, f, h) in enumerate(zip(labels, raw, filt, hf))]
 
 
@@ -243,10 +240,8 @@ class TestRocCsv:
 # --- score files -----------------------------------------------------------
 
 class TestScoreCsvWrite:
-    @pytest.mark.parametrize("records", [edge_records(), tied_records(4), tied_records(5, filtered=False),
-                                         [], [ScoreRecord("a", 1, 0.5, 0.25, 0.1),
-                                              ScoreRecord("b", 0, 0.5, None, 0.1)]],
-                             ids=["edge", "tied", "no_filter", "empty", "mixed_filter"])
+    @pytest.mark.parametrize("records", [edge_records(), tied_records(4), []],
+                             ids=["edge", "tied", "empty"])
     def test_same_bytes(self, tmp_path, records):
         write_score_csv(records, tmp_path / "new.csv")
         row_write_score_csv(records, tmp_path / "old.csv")
@@ -254,8 +249,7 @@ class TestScoreCsvWrite:
 
 
 class TestScoreCsvRead:
-    @pytest.mark.parametrize("records", [edge_records(), tied_records(6), tied_records(7, filtered=False)],
-                             ids=["edge", "tied", "no_filter"])
+    @pytest.mark.parametrize("records", [edge_records(), tied_records(6)], ids=["edge", "tied"])
     def test_exact_round_trip(self, tmp_path, records):
         path = tmp_path / "scores.csv"
         write_score_csv(records, path)
@@ -278,25 +272,25 @@ class TestScoreCsvRead:
         assert [[_bits(x) for x in r[2:]] for r in loaded] == [[_bits(x) for x in r[2:]] for r in want]
 
     @pytest.mark.parametrize("body", [
-        "a,1,oops,,0.25\n",
-        "a,yes,0.5,,0.25\n",
+        "a,1,oops,0.4,0.25\n",
+        "a,yes,0.5,0.4,0.25\n",
         "a,1\n",
-        "a,2,0.5,,0.25\n",
-        "b,0,0.7,0.6,0.25\na,1,nan,,0.25\n",
+        "a,2,0.5,0.4,0.25\n",
+        "b,0,0.7,0.6,0.25\na,1,nan,0.4,0.25\n",
         "b,0,0.7,0.6,0.25\na,1,0.5,inf,0.25\n",
         "b,0,0.7,0.6,0.25\na,1,0.5,0.4,-inf\n",
         "a,1,0.5,0.4,0.25\nb,0,0.7,,0.25\n",
         "a,1,0.5,,0.25\nb,0,0.7,0.6,0.25\n",
-        "a,1,0.5,,0.25\nb,0,0.7,oops,0.25\n",
+        "a,1,0.5,0.4,0.25\nb,0,0.7,oops,0.25\n",
         "a,1,0.5,0.4,0.25\nb,0,nan,0.6,0.25\n",
-        "a,1,0.5,,0.25\n\n\nb,2,nan,,0.25\n",
-        '"x\ny",1,0.5,,0.25\nb,0,0.7,,zz\n',
-        "a,1,0.5,,0.25\nb,0\nc,1,bad,,0.25\n",
-        "a,1,bad,,0.25\nb,0\n",
-        "a,1,0.5,,0.25\nb,0,0.5,,nan\nc,7,0.5,,0.25\n",
-        "a,1,bad,,zz\n",
-        "a,2,0.5,,nan\n",
-        "a,x,nan,,0.25\n",
+        "a,1,0.5,0.4,0.25\n\n\nb,2,nan,0.6,0.25\n",
+        '"x\ny",1,0.5,0.4,0.25\nb,0,0.7,0.6,zz\n',
+        "a,1,0.5,0.4,0.25\nb,0\nc,1,bad,0.6,0.25\n",
+        "a,1,bad,0.4,0.25\nb,0\n",
+        "a,1,0.5,0.4,0.25\nb,0,0.5,0.6,nan\nc,7,0.5,0.6,0.25\n",
+        "a,1,bad,0.4,zz\n",
+        "a,2,0.5,0.4,nan\n",
+        "a,x,nan,0.4,0.25\n",
     ])
     def test_same_line_and_message(self, tmp_path, body):
         path = tmp_path / "scores.csv"
@@ -573,8 +567,7 @@ def row_run_attack(samples, config, denoiser, sched, monkeypatch, hf_boundary_ra
         for sample in samples:
             pair = attacks._build_pair(sample, config, denoiser, sched)
             raw = row_paradigm_score(pair, config.q, None)
-            filtered = (row_paradigm_score(pair, config.q, config.filter)
-                        if config.filter else None)
+            filtered = row_paradigm_score(pair, config.q, config.filter)
             hf = high_frequency_content(sample.image, hf_boundary_radius)
             records.append(ScoreRecord(sample.sample_id, int(sample.membership), raw,
                                        filtered, hf))
@@ -596,20 +589,18 @@ def score_samples(shape, n, seed=0):
 
 
 def _record_bits(records):
-    return [(r.sample_id, r.membership, _bits(r.score_raw),
-             None if r.score_filtered is None else _bits(r.score_filtered), _bits(r.hf_content))
-            for r in records]
+    return [(r.sample_id, r.membership, _bits(r.score_raw), _bits(r.score_filtered),
+             _bits(r.hf_content)) for r in records]
 
 
 class TestStackedScoring:
     @pytest.mark.parametrize("shape", [(1, 6, 6), (3, 5, 4)], ids=["1ch", "3ch"])
-    @pytest.mark.parametrize("filt", [None, FilterSpec(s=0.2, r_t=1.5)], ids=["raw", "filtered"])
     @pytest.mark.parametrize("q", [1, 2])
     @pytest.mark.parametrize("kind", ["naive", "pia", "secmi"])
-    def test_same_records_as_the_per_sample_loop(self, monkeypatch, score_sched, shape, filt,
-                                                 q, kind):
+    def test_same_records_as_the_per_sample_loop(self, monkeypatch, score_sched, shape, q, kind):
         den = ToyDenoiser.initialize(shape, (16,), 8, SCORE_T, seed=5)
-        config = AttackConfig(kind=kind, t_attack=10, stride=5, q=q, seed=3, filter=filt)
+        config = AttackConfig(kind=kind, t_attack=10, stride=5, q=q, seed=3,
+                              filter=FilterSpec(s=0.2, r_t=1.5))
         samples = score_samples(shape, max(SCORE_SIZES))
         for n in SCORE_SIZES:
             got = run_attack(samples[:n], config, den, score_sched)
