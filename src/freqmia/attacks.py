@@ -32,7 +32,7 @@ from .diffusion import (
     predict_x0,
     q_sample,
 )
-from .errors import ConfigurationError, ContractViolation, IngestionError
+from .errors import ConfigurationError, ContractViolation, IngestionError, reading
 from .seeding import derive_rng, derive_seed
 from .spectral import FilterSpec, apply_filter, high_frequency_content
 
@@ -282,51 +282,49 @@ def read_score_csv(path) -> list[ScoreRecord]:
     conversion and one array check per column. The raw cells are freed as
     their column is parsed, before the records are built.
     """
-    try:
+    with reading(path):
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             rows = list(filter(None, reader))  # a blank line reads as []
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    missing = [c for c in _COLUMNS if c not in header]
-    if missing:
-        raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")
-    index = [header.index(c) for c in _COLUMNS]
-    if not rows:
-        raise IngestionError(f"{path}: no score rows")
+        missing = [c for c in _COLUMNS if c not in header]
+        if missing:
+            raise IngestionError(f"missing column(s) {', '.join(missing)}")
+        index = [header.index(c) for c in _COLUMNS]
+        if not rows:
+            raise IngestionError("no score rows")
 
-    # (row, check, message); check numbers the checks in the order one row
-    # is read, so the smallest triple is the first bad row's first failure
-    failures = []
-    short = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) <= max(index))
-    if short.size:
-        cells = len(rows[short[0]])
-        lacks = next(c for c, i in zip(_COLUMNS, index) if i >= cells)
-        failures.append((int(short[0]), 0, f"{lacks}: missing, the row has {cells} cell(s)"))
-        del rows[short[0]:]
-    ids, labels, raw, filtered, hf = ([*map(itemgetter(i), rows)] for i in index)
-    del rows
+        # (row, check, message); check numbers the checks in the order one row
+        # is read, so the smallest triple is the first bad row's first failure
+        failures = []
+        short = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) <= max(index))
+        if short.size:
+            cells = len(rows[short[0]])
+            lacks = next(c for c, i in zip(_COLUMNS, index) if i >= cells)
+            failures.append((int(short[0]), 0, f"{lacks}: missing, the row has {cells} cell(s)"))
+            del rows[short[0]:]
+        ids, labels, raw, filtered, hf = ([*map(itemgetter(i), rows)] for i in index)
+        del rows
 
-    membership = _convert(labels, "membership", int, 1, failures)
-    in_range = np.fromiter(map((0, 1).__contains__, membership), bool, len(membership))
-    if not in_range.all():
-        k = int(np.argmin(in_range))
-        failures.append((k, 5, f"membership must be 0 or 1, got {labels[k]!r}"))
-    del labels
-    raw = _convert(raw, "score_raw", float, 2, failures, finite=True)
-    filtered = _convert(filtered, "score_filtered", float, 3, failures, finite=True)
-    hf = _convert(hf, "hf_content", float, 4, failures, finite=True)
-    if len(set(ids)) < len(ids):
-        first = {}
-        for k, sample_id in enumerate(ids):
-            j = first.setdefault(sample_id, k)
-            if j != k:
-                message = f"sample_id {sample_id!r} repeats line {_line_number(path, j)}"
-                failures.append((k, 6, message))
-                break
+        membership = _convert(labels, "membership", int, 1, failures)
+        in_range = np.fromiter(map((0, 1).__contains__, membership), bool, len(membership))
+        if not in_range.all():
+            k = int(np.argmin(in_range))
+            failures.append((k, 5, f"membership must be 0 or 1, got {labels[k]!r}"))
+        del labels
+        raw = _convert(raw, "score_raw", float, 2, failures, finite=True)
+        filtered = _convert(filtered, "score_filtered", float, 3, failures, finite=True)
+        hf = _convert(hf, "hf_content", float, 4, failures, finite=True)
+        if len(set(ids)) < len(ids):
+            first = {}
+            for k, sample_id in enumerate(ids):
+                j = first.setdefault(sample_id, k)
+                if j != k:
+                    message = f"sample_id {sample_id!r} repeats line {_line_number(path, j)}"
+                    failures.append((k, 6, message))
+                    break
 
-    if failures:
-        row, _, message = min(failures)
-        raise IngestionError(f"{path}, line {_line_number(path, row)}: {message}")
-    return list(map(ScoreRecord._make, zip(ids, membership, raw, filtered, hf)))
+        if failures:
+            row, _, message = min(failures)
+            raise IngestionError(message, line=_line_number(path, row))
+        return list(map(ScoreRecord._make, zip(ids, membership, raw, filtered, hf)))

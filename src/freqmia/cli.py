@@ -22,18 +22,18 @@ pipeline stage.
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 from .attacks import read_score_csv
-from .datasets import export_pgm_dir, generate_dataset
+from .datasets import _check_both_classes, export_pgm_dir, generate_dataset
 from .denoiser import load_denoiser
-from .errors import ConfigurationError, EvaluationError, FreqMiaError, IngestionError
-from .evaluation import PropositionInputs, proposition_mc_verify
+from .errors import ConfigurationError, EvaluationError, FreqMiaError, InputError, reading
+from .evaluation import PropositionInputs, _read_report_metrics, proposition_mc_verify
 from .experiment import (
     ExperimentConfig,
     Pipeline,
+    _read_final_train_loss,
     attack_stage,
     default_config,
     evaluate_stage,
@@ -105,56 +105,30 @@ def _cmd_train(args) -> int:
 def _cmd_attack(args) -> int:
     config = _load_config(args)
     model_path = Path(args.model) if args.model else Path(config.out_dir) / "model.fmia"
-    if not model_path.is_file():
-        raise ConfigurationError(f"model file not found: {model_path}")
     denoiser = load_denoiser(model_path)
     pipe = Pipeline(config)
     samples, sched = load_inputs(config)
-    if denoiser.T != sched.T:
-        raise ConfigurationError(
-            f"{model_path}: model has T={denoiser.T}, the config's schedule has T={sched.T}")
-    if denoiser.image_shape != samples[0].image.shape:
-        raise ConfigurationError(f"{model_path}: model image shape {denoiser.image_shape}, "
-                                 f"the config's samples have {samples[0].image.shape}")
+    with reading(model_path):
+        if denoiser.T != sched.T:
+            raise ConfigurationError(
+                f"model has T={denoiser.T}, the config's schedule has T={sched.T}")
+        if denoiser.image_shape != samples[0].image.shape:
+            raise ConfigurationError(f"model image shape {denoiser.image_shape}, "
+                                     f"the config's samples have {samples[0].image.shape}")
     for attack_cfg in config.attack_configs():
         records = attack_stage(pipe, attack_cfg, samples, denoiser, sched)
         print(f"scored {len(records)} samples with {attack_cfg.kind}")
     return 0
 
 
-def _read_final_train_loss(out_dir):
-    """Last loss of ``<out_dir>/train_loss.csv``; None without the file or
-    an epoch. A row other than an integer epoch and a finite loss raises
-    :class:`IngestionError` naming the file and line."""
-    path = Path(out_dir) / "train_loss.csv"
-    if not path.is_file():
-        return None
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    loss = None
-    for lineno, line in enumerate(lines[1:], start=2):  # line 1 is the header
-        try:
-            epoch, text = line.split(",")
-            int(epoch)
-            loss = float(text)
-        except ValueError:
-            loss = math.nan
-        if not math.isfinite(loss):
-            raise IngestionError(f"{path}, line {lineno}: expected <epoch>,<finite loss>, "
-                                 f"got {line!r}")
-    return loss
-
-
 def _cmd_eval(args) -> int:
     config = _load_config(args)
     scores = {}
     for kind in config.attack_kinds:
-        score_path = Path(config.out_dir) / f"scores_{kind}.csv"
-        if not score_path.is_file():
-            raise ConfigurationError(f"score file not found: {score_path}")
-        scores[kind] = read_score_csv(score_path)
+        path = Path(config.out_dir) / f"scores_{kind}.csv"
+        with reading(path):
+            scores[kind] = read_score_csv(path)
+            _check_both_classes(scores[kind])
     final_loss = _read_final_train_loss(config.out_dir)
     pipe = Pipeline(config)
     evaluated = {kind: evaluate_stage(pipe, kind, records) for kind, records in scores.items()}
@@ -186,37 +160,12 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _read_report_metrics(path) -> dict:
-    """The metrics JSON that ``report`` shows, checked for the fields it
-    prints; :class:`IngestionError` naming the file otherwise."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            metrics = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise IngestionError(f"{path}: not a metrics JSON file ({exc})") from exc
-    if not isinstance(metrics, dict):
-        raise IngestionError(f"{path}: expected a JSON object")
-    for key in ("asr", "auc", "tpr_at_1pct_fpr", "sigma_ratio"):
-        if key not in metrics:
-            raise IngestionError(f"{path}: no {key!r} field")
-        value = metrics[key]
-        if not (value is None and key == "sigma_ratio") and (
-                isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise IngestionError(f"{path}: {key!r} is {value!r}, not a number")
-    return metrics
-
-
 def _cmd_report(args) -> int:
     out = Path(args.out if args.out else "out")
     metric_files = sorted(out.glob("metrics_*.json"))
     if not metric_files:
         raise ConfigurationError(f"no metrics_*.json found in {out}")
-    rows = []
-    for path in metric_files:
-        if path.stem.count("_") < 2:
-            raise IngestionError(f"{path}: not named metrics_<attack>_<variant>.json")
-        _, kind, variant = path.stem.split("_", 2)
-        rows.append((kind, variant, _read_report_metrics(path)))
+    rows = [_read_report_metrics(path) for path in metric_files]
     print(f"{'attack':<10} {'variant':<10} {'asr':>8} {'auc':>8} {'tpr@1%':>8} {'sigma_h/m':>10}")
     for kind, variant, metrics in rows:
         ratio = metrics["sigma_ratio"]
@@ -282,7 +231,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except FreqMiaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, (ConfigurationError, IngestionError)) else 2
+        return 1 if isinstance(exc, InputError) else 2
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError
+from .errors import ConfigurationError, IngestionError, reading
 from .seeding import derive_rng
 from .spectral import forward_dft, inverse_dft, radial_grid
 
@@ -141,6 +141,13 @@ def generate_dataset(spec: DatasetSpec) -> list[LabeledSample]:
     return samples
 
 
+def _check_both_classes(items) -> None:
+    """The rule every scored input obeys: ``items`` (samples or score
+    records) hold both members and hold-outs."""
+    if len({item.membership for item in items}) != 2:
+        raise IngestionError("must list both members and hold-outs")
+
+
 def read_pgm(path) -> np.ndarray:
     """Parse a binary 8-bit PGM (P5) file into a (1, H, W) image in [-1, 1].
 
@@ -148,34 +155,32 @@ def read_pgm(path) -> np.ndarray:
     a pixel above maxval raises :class:`IngestionError`.
     """
     path = Path(path)
-    try:
+    with reading(path):
         blob = path.read_bytes()
-    except OSError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed, followed by a single whitespace byte
-    tokens, pos = [], 0
-    while len(tokens) < 4:
-        match = re.match(rb"\s*(#[^\n]*\n)*\s*(\S+)", blob[pos:])
-        if not match:
-            raise IngestionError(f"{path}: truncated PGM header")
-        tokens.append(match.group(2))
-        pos += match.end()
-    if tokens[0] != b"P5":
-        raise IngestionError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise IngestionError(f"{path}: malformed PGM header") from exc
-    if not 0 < maxval <= 255:
-        raise IngestionError(f"{path}: only 8-bit PGM supported, maxval {maxval}")
-    pos += 1  # single whitespace separating header from raster
-    data = blob[pos:pos + width * height]
-    if len(data) != width * height:
-        raise IngestionError(f"{path}: raster has {len(data)} bytes, expected {width * height}")
-    pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
-    if pixels.max(initial=0) > maxval:
-        raise IngestionError(f"{path}: pixel value {pixels.max()} exceeds maxval {maxval}")
+        # header: magic, width, height, maxval as whitespace-separated tokens,
+        # with '#' comments allowed, followed by a single whitespace byte
+        tokens, pos = [], 0
+        while len(tokens) < 4:
+            match = re.match(rb"\s*(#[^\n]*\n)*\s*(\S+)", blob[pos:])
+            if not match:
+                raise IngestionError("truncated PGM header")
+            tokens.append(match.group(2))
+            pos += match.end()
+        if tokens[0] != b"P5":
+            raise IngestionError(f"not a binary PGM (magic {tokens[0]!r})")
+        try:
+            width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        except ValueError as exc:
+            raise IngestionError("malformed PGM header") from exc
+        if not 0 < maxval <= 255:
+            raise IngestionError(f"only 8-bit PGM supported, maxval {maxval}")
+        pos += 1  # single whitespace separating header from raster
+        data = blob[pos:pos + width * height]
+        if len(data) != width * height:
+            raise IngestionError(f"raster has {len(data)} bytes, expected {width * height}")
+        pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+        if pixels.max(initial=0) > maxval:
+            raise IngestionError(f"pixel value {pixels.max()} exceeds maxval {maxval}")
     return 2.0 * pixels.astype(np.float64)[None, :, :] / maxval - 1.0
 
 
@@ -196,51 +201,45 @@ def write_pgm(path, image: np.ndarray) -> None:
 def ingest_pgm_dir(path) -> list[LabeledSample]:
     """Load every manifest entry from a PGM directory.
 
-    All images must share one resolution; any malformed file, missing
-    or repeated entry, entry name the file system encoding cannot encode,
-    or size mismatch raises :class:`IngestionError` naming the offender.
+    All images must share one resolution, and the entries must hold both
+    members and hold-outs; any malformed file, missing or repeated entry,
+    entry name the file system encoding cannot encode, size mismatch or
+    one-class manifest raises :class:`IngestionError` naming the offender.
     """
     root = Path(path)
     manifest = root / MANIFEST_NAME
-    if not manifest.is_file():
-        raise IngestionError(f"{manifest}: manifest not found")
     samples = []
-    shape = None
     listed = {}  # file name -> manifest line
-    try:
-        text = manifest.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"{manifest}: not UTF-8 text ({exc.reason})") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise IngestionError(f"{manifest}:{lineno}: expected 'filename,membership'")
-        name, label = parts[0].strip(), parts[1].strip()
-        if label not in ("0", "1"):
-            raise IngestionError(f"{manifest}:{lineno}: membership must be 0 or 1, got {label!r}")
-        if name in listed:
-            raise IngestionError(f"{manifest}:{lineno}: {name!r} repeats line {listed[name]}")
-        listed[name] = lineno
-        try:
-            os.fsencode(name)  # Path.is_file() would report such a name as missing
-        except UnicodeEncodeError as exc:
-            raise IngestionError(
-                f"{manifest}:{lineno}: file name {name!r} cannot be encoded in the file system "
-                f"encoding {sys.getfilesystemencoding()!r}") from exc
-        file_path = root / name
-        if not file_path.is_file():
-            raise IngestionError(f"{manifest}:{lineno}: no such file {name!r}")
-        image = read_pgm(file_path)
-        if shape is None:
-            shape = image.shape
-        elif image.shape != shape:
-            raise IngestionError(f"{file_path}: size {image.shape[1:]} differs from {shape[1:]}")
-        samples.append(LabeledSample(name, image, int(label)))
-    if not samples:
-        raise IngestionError(f"{manifest}: no entries")
+    with reading(manifest):
+        for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise IngestionError("expected 'filename,membership'", line=lineno)
+            name, label = parts[0].strip(), parts[1].strip()
+            if label not in ("0", "1"):
+                raise IngestionError(f"membership must be 0 or 1, got {label!r}", line=lineno)
+            if name in listed:
+                raise IngestionError(f"{name!r} repeats line {listed[name]}", line=lineno)
+            listed[name] = lineno
+            try:
+                os.fsencode(name)  # Path.is_file() would report such a name as missing
+            except UnicodeEncodeError as exc:
+                raise IngestionError(
+                    f"file name {name!r} cannot be encoded in the file system encoding "
+                    f"{sys.getfilesystemencoding()!r}", line=lineno) from exc
+            if not (root / name).is_file():
+                raise IngestionError(f"no such file {name!r}", line=lineno)
+            with reading(root / name):
+                image = read_pgm(root / name)
+                first = samples[0] if samples else None
+                if first and image.shape != first.image.shape:
+                    raise IngestionError(f"size {image.shape[1:]} differs from "
+                                         f"{first.image.shape[1:]} of {first.sample_id!r}")
+            samples.append(LabeledSample(name, image, int(label)))
+        _check_both_classes(samples)
     return samples
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diffusion import NoiseSchedule, check_timesteps
-from .errors import ConfigurationError, ContractViolation, IngestionError, TrainingError
+from .errors import ConfigurationError, ContractViolation, IngestionError, TrainingError, reading
 from .seeding import derive_rng
 
 __all__ = [
@@ -139,6 +139,7 @@ class ToyDenoiser:
         self.emb_dim = int(emb_dim)
         self.T = int(T)
         _check_layer_widths(self.layer_sizes)
+        _check_embedding_dim(self.emb_dim)
         if len(self.layer_sizes) < 2 or self.params.shape != (_param_count(self.layer_sizes),):
             raise ConfigurationError(f"parameters do not fit layer sizes {self.layer_sizes}")
         pixels = int(np.prod(self.image_shape))
@@ -313,31 +314,32 @@ def save_denoiser(den: ToyDenoiser, path) -> None:
 def load_denoiser(path) -> ToyDenoiser:
     """Read a model written by :func:`save_denoiser`.
 
-    A file that is not FMIA v1 raises :class:`ConfigurationError`; one whose
-    length does not match its header, or whose body holds a NaN or an
-    infinity, raises :class:`IngestionError` (naming the first such
-    parameter's index in ``params``).
+    A file that is not FMIA v1, or whose header :class:`ToyDenoiser` rejects,
+    raises :class:`ConfigurationError`; one whose length does not match its
+    header, or whose body holds a NaN or an infinity, raises
+    :class:`IngestionError` (naming the first such parameter's index).
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ConfigurationError(f"{path}: not an FMIA weight file")
-    offset = 4 + 7 * 4
-    if len(blob) < offset:
-        raise IngestionError(f"{path}: truncated FMIA header ({len(blob)} bytes)")
-    version, T, c, h, w, emb_dim, n_sizes = struct.unpack_from("<7I", blob, 4)
-    if version != _FORMAT_VERSION:
-        raise ConfigurationError(f"{path}: unsupported format version {version}")
-    if len(blob) < offset + 4 * n_sizes:
-        raise IngestionError(f"{path}: truncated FMIA header ({len(blob)} bytes)")
-    sizes = struct.unpack_from(f"<{n_sizes}I", blob, offset)
-    offset += n_sizes * 4
-    expected = offset + 8 * _param_count(sizes)
-    if len(blob) != expected:
-        raise IngestionError(f"{path}: {len(blob)} bytes, the header implies {expected}")
-    params = np.frombuffer(blob, dtype="<f8", offset=offset).copy()
-    finite = np.isfinite(params)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise IngestionError(f"{path}: parameter {k} is not finite ({float(params[k])})")
-    return ToyDenoiser(params, sizes, (c, h, w), emb_dim, T)
+    with reading(path):
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        if blob[:4] != _MAGIC:
+            raise ConfigurationError("not an FMIA weight file")
+        offset = 4 + 7 * 4
+        if len(blob) < offset:
+            raise IngestionError(f"truncated FMIA header ({len(blob)} bytes)")
+        version, T, c, h, w, emb_dim, n_sizes = struct.unpack_from("<7I", blob, 4)
+        if version != _FORMAT_VERSION:
+            raise ConfigurationError(f"unsupported format version {version}")
+        if len(blob) < offset + 4 * n_sizes:
+            raise IngestionError(f"truncated FMIA header ({len(blob)} bytes)")
+        sizes = struct.unpack_from(f"<{n_sizes}I", blob, offset)
+        offset += n_sizes * 4
+        expected = offset + 8 * _param_count(sizes)
+        if len(blob) != expected:
+            raise IngestionError(f"{len(blob)} bytes, the header implies {expected}")
+        params = np.frombuffer(blob, dtype="<f8", offset=offset).copy()
+        finite = np.isfinite(params)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise IngestionError(f"parameter {k} is not finite ({float(params[k])})")
+        return ToyDenoiser(params, sizes, (c, h, w), emb_dim, T)

@@ -25,11 +25,12 @@ import os
 import threading
 from dataclasses import dataclass, fields
 from operator import attrgetter
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, IngestionError, reading
 
 __all__ = [
     "RocCurve",
@@ -512,6 +513,32 @@ def _write_json(obj, path) -> None:
 
 def write_metrics_json(report: MetricsReport, path) -> None:
     _write_json(report.to_json_dict(), path)
+
+
+def _read_report_metrics(path):
+    """``(attack, variant, metrics)`` of a ``metrics_<attack>_<variant>.json``
+    that ``report`` shows, checked for the fields it prints;
+    :class:`IngestionError` naming the file otherwise."""
+    path = Path(path)
+    with reading(path):
+        if path.stem.count("_") < 2:
+            raise IngestionError("not named metrics_<attack>_<variant>.json")
+        with open(path, encoding="utf-8") as fh:
+            try:
+                metrics = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise IngestionError(f"not a metrics JSON file ({exc})") from exc
+        if not isinstance(metrics, dict):
+            raise IngestionError("expected a JSON object")
+        for key in ("asr", "auc", "tpr_at_1pct_fpr", "sigma_ratio"):
+            if key not in metrics:
+                raise IngestionError(f"no {key!r} field")
+            value = metrics[key]
+            if not (value is None and key == "sigma_ratio") and (
+                    isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise IngestionError(f"{key!r} is {value!r}, not a number")
+    _, kind, variant = path.stem.split("_", 2)
+    return kind, variant, metrics
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:

@@ -35,6 +35,7 @@ raised.
 
 import configparser
 import csv
+import math
 import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -45,7 +46,7 @@ from .datasets import DatasetSpec, generate_dataset
 from .denoiser import (TrainingConfig, _check_embedding_dim, _check_layer_widths, save_denoiser,
                        train_toy_denoiser)
 from .diffusion import linear_schedule
-from .errors import ConfigurationError, ContractViolation, ExperimentError
+from .errors import ConfigurationError, ContractViolation, ExperimentError, IngestionError, reading
 from .evaluation import (
     _write_json,
     build_metrics_report,
@@ -127,8 +128,9 @@ class ExperimentConfig:
     secmi_stride: int = _ini("attacks", 10)
 
     def __post_init__(self):
-        # a bad training value, layer width, embedding dim, radius, attack kind,
-        # q, stride, filter, schedule or attack timestep fails before any stage
+        # a bad dataset or training value, layer width, embedding dim, radius, attack
+        # kind, q, stride, filter, schedule or attack timestep fails before any stage
+        self.dataset_spec()
         self.training_config()
         _check_layer_widths(self.hidden_sizes)
         _check_embedding_dim(self.embedding_dim)
@@ -197,33 +199,32 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         """Read a config file; keys it omits keep their defaults."""
         path = Path(path)
-        if not path.is_file():
-            raise ConfigurationError(f"config file not found: {path}")
-        parser = configparser.ConfigParser(interpolation=None)
-        try:
-            parser.read(path, encoding="utf-8")
-        except (configparser.Error, UnicodeDecodeError) as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
-        schema = {(section, key): f for f, section, key in _schema(cls)}
-        sections = {section for section, _ in schema}
-        if parser.defaults():
-            raise ConfigurationError(f"{path}: unknown section [{parser.default_section}]")
-        values = {}
-        for section in parser.sections():
-            if section not in sections:
-                raise ConfigurationError(f"{path}: unknown section [{section}]")
-            for key, text in parser.items(section):
-                f = schema.get((section, key))
-                if f is None:
-                    raise ConfigurationError(f"{path}: unknown key {key!r} in [{section}]")
+        with reading(path):
+            if not path.is_file():
+                raise ConfigurationError("config file not found")
+            parser = configparser.ConfigParser(interpolation=None)
+            with open(path, encoding="utf-8") as fh:
                 try:
-                    values[f.name] = f.metadata["parse"](text)
-                except ValueError as exc:
-                    raise ConfigurationError(f"{path}: [{section}] {key}: {exc}") from exc
-        try:
+                    parser.read_file(fh)
+                except configparser.Error as exc:
+                    raise ConfigurationError(str(exc)) from exc
+            schema = {(section, key): f for f, section, key in _schema(cls)}
+            sections = {section for section, _ in schema}
+            if parser.defaults():
+                raise ConfigurationError(f"unknown section [{parser.default_section}]")
+            values = {}
+            for section in parser.sections():
+                if section not in sections:
+                    raise ConfigurationError(f"unknown section [{section}]")
+                for key, text in parser.items(section):
+                    f = schema.get((section, key))
+                    if f is None:
+                        raise ConfigurationError(f"unknown key {key!r} in [{section}]")
+                    try:
+                        values[f.name] = f.metadata["parse"](text)
+                    except ValueError as exc:
+                        raise ConfigurationError(f"[{section}] {key}: {exc}") from exc
             return cls(**values)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def default_config(seed: int = 0, out_dir: str = "out") -> ExperimentConfig:
@@ -307,8 +308,6 @@ class Pipeline:
 def load_inputs(config: ExperimentConfig):
     """The labeled samples and the noise schedule every stage works on."""
     samples = generate_dataset(config.dataset_spec())
-    if len({s.membership for s in samples}) != 2:
-        raise ConfigurationError("dataset must contain both members and hold-outs")
     sched = linear_schedule(config.timesteps, config.beta_start, config.beta_end)
     return samples, sched
 
@@ -323,6 +322,28 @@ def _write_loss_trace(path, trace) -> None:
         writer.writerow(["epoch", "loss"])
         for i, loss in enumerate(trace):
             writer.writerow([i, repr(float(loss))])
+
+
+def _read_final_train_loss(out_dir):
+    """Last loss of ``<out_dir>/train_loss.csv``; None without the file or
+    an epoch. A row other than an integer epoch and a finite loss raises
+    :class:`IngestionError` naming the file and line."""
+    path = Path(out_dir) / "train_loss.csv"
+    if not path.is_file():
+        return None
+    loss = None
+    with reading(path):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines[1:], start=2):  # line 1 is the header
+            try:
+                epoch, text = line.split(",")
+                int(epoch)
+                loss = float(text)
+            except ValueError:
+                loss = math.nan
+            if not math.isfinite(loss):
+                raise IngestionError(f"expected <epoch>,<finite loss>, got {line!r}", line=lineno)
+    return loss
 
 
 def train_stage(pipe: Pipeline, samples, sched):

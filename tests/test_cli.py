@@ -173,7 +173,7 @@ class TestMalformedInputs:
         config.to_file(tmp_path / "pgm.ini")
         assert main(["train", "--config", str(tmp_path / "pgm.ini")]) == 1
         err = capsys.readouterr().err
-        assert "manifest.csv:4" in err and "'s0.pgm' repeats line 1" in err
+        assert "manifest.csv, line 4" in err and "'s0.pgm' repeats line 1" in err
 
     def test_repeated_sample_id_in_score_csv_exits_1(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
@@ -234,6 +234,47 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert main(["attack", "--config", str(config_path)]) == 1
         assert "model.fmia" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("emb_dim, sizes, message", [
+        (4, (68, 0, 64), "layer widths must be >= 1, got [68, 0, 64]"),
+        (3, (67, 8, 64), "embedding dim must be even and >= 0, got 3"),
+    ], ids=["zero_width", "odd_emb_dim"])
+    def test_model_header_the_model_rejects_exits_1(self, tmp_path, capsys, emb_dim, sizes,
+                                                    message):
+        config = tiny_config(tmp_path / "out", timesteps=200)
+        config.to_file(tmp_path / "c.ini")
+        model = tmp_path / "hollow.fmia"
+        n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+        model.write_bytes(b"FMIA" + struct.pack(f"<7I{len(sizes)}I", 1, 200, 1, 8, 8, emb_dim,
+                                                len(sizes), *sizes) + bytes(8 * n_params))
+        assert main(["attack", "--config", str(tmp_path / "c.ini"), "--model", str(model)]) == 1
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_one_class_score_file_exits_1_before_any_stage(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        tiny_config(out, attack_kinds=("pia",)).to_file(tmp_path / "c.ini")
+        (out / "scores_pia.csv").write_text(
+            "sample_id,membership,score_raw,score_filtered,hf_content\n"
+            "a,1,0.5,0.4,0.25\nb,1,0.7,0.6,0.25\nc,1,0.6,0.5,0.25\n")
+        assert main(["eval", "--config", str(tmp_path / "c.ini")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {out / 'scores_pia.csv'}: must list both members and hold-outs\n"
+        assert sorted(p.name for p in out.iterdir()) == ["scores_pia.csv"]
+
+    def test_one_class_manifest_exits_1_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for i in range(4):
+            (data / f"s{i}.pgm").write_bytes(b"P5\n8 8\n15\n" + bytes([i] * 64))
+        (data / "manifest.csv").write_text("".join(f"s{i}.pgm,1\n" for i in range(4)))
+        config = tiny_config(tmp_path / "out", dataset_kind="pgm_dir", dataset_path=str(data))
+        config.to_file(tmp_path / "pgm.ini")
+        assert main(["train", "--config", str(tmp_path / "pgm.ini")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data / 'manifest.csv'}: must list both members and hold-outs\n"
+        assert not (tmp_path / "out" / "model.fmia").exists()
 
     @pytest.mark.parametrize("header, rows", [
         ("sample_id,membership,score_raw,hf_content", "a,1,0.5,0.25"),
@@ -316,6 +357,20 @@ class TestMalformedInputs:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "latin.ini" in capsys.readouterr().err
 
+    def test_config_that_cannot_be_opened_exits_1_before_any_stage(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # root opens a chmod 000 file anyway, so the refusal is simulated
+        path = tmp_path / "locked.ini"
+        tiny_config(tmp_path / "out").to_file(path)
+
+        def refuse(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(file))
+
+        monkeypatch.setattr(freqmia.experiment, "open", refuse, raising=False)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: Permission denied\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_manifest_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -347,7 +402,7 @@ class TestMalformedInputs:
         err = done.stderr.decode("utf-8", "replace")
         assert done.returncode == 1, err
         assert err.startswith("error: ") and "Traceback" not in err
-        assert "manifest.csv:3" in err and "no such file" not in err
+        assert "manifest.csv, line 3" in err and "no such file" not in err
         assert probe.stdout.strip() in err
 
     def test_non_utf8_score_csv_exits_1(self, tmp_path, config_path, capsys):

@@ -185,6 +185,13 @@ class TestIngestDir:
         with pytest.raises(IngestionError, match="b.pgm"):
             ingest_pgm_dir(tmp_path)
 
+    def test_size_mismatch_also_names_the_first_entry(self, tmp_path):
+        # the odd one out may be the first image, which set the size
+        self._write_sample_dir(tmp_path, [("a.pgm", 1, 4), ("b.pgm", 0, 8), ("c.pgm", 0, 8)])
+        with pytest.raises(IngestionError) as info:
+            ingest_pgm_dir(tmp_path)
+        assert str(info.value) == f"{tmp_path / 'b.pgm'}: size (8, 8) differs from (4, 4) of 'a.pgm'"
+
     def test_bad_membership_rejected(self, tmp_path):
         self._write_sample_dir(tmp_path, [("a.pgm", 1, 4)])
         (tmp_path / "manifest.csv").write_text("a.pgm,2\n")
@@ -194,7 +201,7 @@ class TestIngestDir:
     def test_repeated_entry_names_both_lines(self, tmp_path):
         self._write_sample_dir(tmp_path, [("a.pgm", 1, 4), ("b.pgm", 0, 4)])
         (tmp_path / "manifest.csv").write_text("a.pgm,1\nb.pgm,0\n\na.pgm,0\n")
-        with pytest.raises(IngestionError, match=r"manifest\.csv:4: 'a\.pgm' repeats line 1"):
+        with pytest.raises(IngestionError, match=r"manifest\.csv, line 4: 'a\.pgm' repeats line 1"):
             ingest_pgm_dir(tmp_path)
 
     def test_generate_dataset_delegates_for_pgm_kind(self, tmp_path):

@@ -291,6 +291,17 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match="epochs"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[dataset]\nsize = 12\n", "image size must be 8, 16 or 32, got 12"),
+        ("[dataset]\nkind = pgm_dir\n", "pgm_dir dataset needs a path"),
+    ])
+    def test_bad_dataset_value_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as info:
+            ExperimentConfig.from_file(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_partial_file_uses_defaults(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[experiment]\nseed = 4\n\n[training]\nepochs = 7\n")
