@@ -203,7 +203,8 @@ def run_attack(samples, config: AttackConfig, denoiser, sched: NoiseSchedule,
     sample at a time; every ``_SCORE_CHUNK`` samples' differences are then
     normed and filtered as one stack, which gives each score the bits of
     :func:`paradigm_score` on its own pair. A non-finite difference fails
-    the filter's check for the whole stack.
+    the filter's check for the whole stack, and a finite one whose norm
+    overflows raises :class:`ContractViolation` naming its sample.
     """
     samples = list(samples)
     if not samples:
@@ -214,9 +215,14 @@ def run_attack(samples, config: AttackConfig, denoiser, sched: NoiseSchedule,
         chunk = samples[start:start + _SCORE_CHUNK]
         pairs = [_build_pair(sample, config, denoiser, sched) for sample in chunk]
         diffs = np.stack([pair.predicted - pair.target for pair in pairs])
-        raw = _q_norms(diffs, config.q).tolist()
-        filtered = _q_norms(apply_filter(diffs, config.filter), config.q).tolist()
-        for sample, r, f in zip(chunk, raw, filtered):
+        with np.errstate(over="ignore"):  # an overflowed norm is reported below
+            raw = _q_norms(diffs, config.q)
+            filtered = _q_norms(apply_filter(diffs, config.filter), config.q)
+        finite = np.isfinite(raw) & np.isfinite(filtered)
+        if not finite.all():
+            raise ContractViolation(f"the score of sample {chunk[np.argmin(finite)].sample_id!r} "
+                                    f"overflows float64")
+        for sample, r, f in zip(chunk, raw.tolist(), filtered.tolist()):
             hf = high_frequency_content(sample.image, hf_boundary_radius)
             records.append(ScoreRecord(sample.sample_id, int(sample.membership), r, f, hf))
     return records

@@ -94,8 +94,8 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
-    pipe = Pipeline(config)
     samples, sched = load_inputs(config)
+    pipe = Pipeline(config)
     denoiser, trace = train_stage(pipe, samples, sched)
     final = f"{trace[-1]:.6g}" if trace else "n/a"
     print(f"trained {denoiser.params.size} parameters, final loss {final}")
@@ -106,7 +106,6 @@ def _cmd_attack(args) -> int:
     config = _load_config(args)
     model_path = Path(args.model) if args.model else Path(config.out_dir) / "model.fmia"
     denoiser = load_denoiser(model_path)
-    pipe = Pipeline(config)
     samples, sched = load_inputs(config)
     with reading(model_path):
         if denoiser.T != sched.T:
@@ -115,6 +114,7 @@ def _cmd_attack(args) -> int:
         if denoiser.image_shape != samples[0].image.shape:
             raise ConfigurationError(f"model image shape {denoiser.image_shape}, "
                                      f"the config's samples have {samples[0].image.shape}")
+    pipe = Pipeline(config)
     for attack_cfg in config.attack_configs():
         records = attack_stage(pipe, attack_cfg, samples, denoiser, sched)
         print(f"scored {len(records)} samples with {attack_cfg.kind}")

@@ -14,15 +14,11 @@ the same claim.
 
 Everything here is a pure function of immutable record lists. The
 Monte-Carlo verifier draws each trial from its own spawned child stream,
-so results for trial i do not depend on how many trials run in total, nor
-on how many threads run them.
+so results for trial i do not depend on how many trials run in total.
 """
 
-import contextvars
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -230,6 +226,8 @@ class PropositionInputs:
     h_h: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.l_m, self.l_h, self.h_m, self.h_h))):
+            raise EvaluationError(f"standard deviations must be finite, got {self}")
         if not (self.l_m > 0.0 and self.l_h > 0.0):
             raise EvaluationError("low-frequency standard deviations must be positive")
         if self.h_m < 0.0 or self.h_h < 0.0:
@@ -244,6 +242,19 @@ class PropositionInputs:
         if self.h_h == 0.0:
             raise EvaluationError("k undefined for h_h = 0")
         return self.h_m / self.h_h
+
+
+def _in_range(what: str, inputs: PropositionInputs, compute):
+    """``compute()``, whose floats must all be finite: an overflow, a
+    divisor that underflowed to zero or a non-finite value raises
+    :class:`EvaluationError` naming ``what`` and the inputs."""
+    try:
+        values = compute()
+        if np.isfinite(values).all():
+            return values
+    except ArithmeticError:  # OverflowError, ZeroDivisionError
+        pass
+    raise EvaluationError(f"{what} of {inputs} out of float64 range")
 
 
 class ConstraintResult(NamedTuple):
@@ -263,8 +274,9 @@ def proposition_constraint(inputs: PropositionInputs) -> ConstraintResult:
     if inputs.h_h == 0.0:
         raise EvaluationError("constraint undefined for h_h = 0 (degenerate high band)")
     lm, d, hh = inputs.l_m, inputs.delta, inputs.h_h
-    f = 1.0 + (2.0 * d / hh**2) * (lm + 2.0 * d - math.sqrt((lm + 2.0 * d) ** 2 + hh**2))
-    k_sq = inputs.k**2
+    f, k_sq = _in_range("k^2 or f", inputs, lambda: (
+        1.0 + (2.0 * d / hh**2) * (lm + 2.0 * d - math.sqrt((lm + 2.0 * d) ** 2 + hh**2)),
+        inputs.k**2))
     return ConstraintResult(k_sq=k_sq, f=f, satisfied=k_sq > f)
 
 
@@ -297,13 +309,6 @@ class McVerifyReport:
         return d
 
 
-def _usable_cpus() -> int:
-    """How many CPUs the OS lets this process run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _check_count(name: str, value, minimum: int) -> int:
     """``value`` as a Python int: a Python or numpy integer, not a bool,
     of at least ``minimum``."""
@@ -312,70 +317,34 @@ def _check_count(name: str, value, minimum: int) -> int:
     raise EvaluationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _mc_trials(inputs: PropositionInputs, n_samples: int, children, first: int, step: int,
-               pre_ratios: np.ndarray, post_ratios: np.ndarray) -> None:
-    """Run trials ``first, first + step, ...`` and write their ratios by
-    trial index.
-
-    Each class draws its low component into one buffer and its high one
-    into the other (low_m, high_m, low_h, high_h), scales both in place
-    and adds the low buffer into the high one. The two buffers serve every
-    trial, so nothing is allocated per trial but ``np.std``'s temporary.
-    """
-    low = np.empty(n_samples, dtype=np.float32)
-    total = np.empty(n_samples, dtype=np.float32)
-    classes = ((inputs.l_m, inputs.h_m), (inputs.l_h, inputs.h_h))
-    for i in range(first, len(children), step):
-        rng = np.random.Generator(np.random.PCG64(children[i]))
-        sigma, sigma_post = [], []
-        for l_sd, h_sd in classes:
-            rng.standard_normal(n_samples, dtype=np.float32, out=low)
-            low *= l_sd
-            rng.standard_normal(n_samples, dtype=np.float32, out=total)
-            total *= h_sd
-            np.add(low, total, out=total)
-            sigma.append(np.std(total, ddof=1))
-            sigma_post.append(np.std(low, ddof=1))
-        pre_ratios[i] = sigma[1] / sigma[0]
-        post_ratios[i] = sigma_post[1] / sigma_post[0]
-
-
 def _trial_ratios(inputs: PropositionInputs, n_samples: int, seed: int, n_trials: int):
     """Each trial's pre- and post-filter hold-out/member ratio, by trial.
 
-    The trials run on one thread per CPU the process may use, at most one
-    per trial; the calling thread is worker 0, so one CPU starts no
-    thread. numpy draws and reduces without holding the interpreter lock,
-    and each trial has its own child stream and writes only its own
-    ratios, so the ratios are the same for any number of workers. An
-    exception in any worker is raised once every worker has joined.
+    A class's ratios depend on its ``n_samples`` draws of (low, high) only
+    through their 2x2 sample covariance; ``n - 1`` times it is
+    Wishart(n - 1, diag(l^2, h^2)), which Bartlett's decomposition draws
+    exactly from c1^2 ~ chi2(n - 1), c2^2 ~ chi2(n - 2) and z ~ N(0, 1):
+    (n - 1) var(low) = l^2 c1^2 and (n - 1) var(low + high) =
+    l^2 c1^2 + h^2 (z^2 + c2^2) + 2 l h c1 z. The 1/(n - 1) cancels in the
+    ratios. Each trial draws member then hold-out from its own child
+    stream, so trial i does not depend on how many trials run.
     """
-    children = np.random.SeedSequence(seed).spawn(n_trials)
     pre_ratios = np.empty(n_trials)
     post_ratios = np.empty(n_trials)
-    n_workers = min(n_trials, _usable_cpus())
-    errors = []
-
-    def worker(first: int) -> None:
-        try:
-            _mc_trials(inputs, n_samples, children, first, n_workers, pre_ratios, post_ratios)
-        except BaseException as exc:  # re-raised by the caller after the joins
-            errors.append(exc)
-
-    threads = []
-    try:
-        for first in range(1, n_workers):
-            # the copied context carries the caller's numpy error state
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(worker, first),
-                                      name=f"mc-verify-{first}")
-            thread.start()
-            threads.append(thread)
-        _mc_trials(inputs, n_samples, children, 0, n_workers, pre_ratios, post_ratios)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    classes = ((inputs.l_m, inputs.h_m), (inputs.l_h, inputs.h_h))
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        pre, post = [], []
+        for l_sd, h_sd in classes:
+            c1_sq = rng.chisquare(n_samples - 1)
+            c2_sq = rng.chisquare(n_samples - 2)
+            z = rng.standard_normal()
+            post.append(l_sd * l_sd * c1_sq)
+            # h = 0 leaves pre bitwise equal to post
+            pre.append(post[-1] + h_sd * h_sd * (z * z + c2_sq)
+                       + 2.0 * l_sd * h_sd * math.sqrt(c1_sq) * z)
+        pre_ratios[i] = math.sqrt(pre[1] / pre[0])
+        post_ratios[i] = math.sqrt(post[1] / post[0])
     return pre_ratios, post_ratios
 
 
@@ -385,8 +354,8 @@ def proposition_mc_verify(inputs: PropositionInputs, n_samples: int, seed: int,
     count how often filtering (dropping the high component) raises the
     hold-out/member standard-deviation ratio.
 
-    Each trial draws ``n_samples`` scores per class from its own child
-    stream and compares the empirical pre-filter ratio against the
+    Each trial simulates ``n_samples`` scores per class from its own
+    child stream and compares the empirical pre-filter ratio against the
     post-filter one. When the constraint holds with margin and n_samples
     is at least 1e5 the reported fraction exceeds 0.99. If the
     constraint fails (or is undefined) the report only flags it; nothing
@@ -394,8 +363,11 @@ def proposition_mc_verify(inputs: PropositionInputs, n_samples: int, seed: int,
 
     ``n_samples``, ``seed`` and ``n_trials`` must be Python or numpy
     integers (not bools) with ``n_samples >= 10000``, ``seed >= 0`` and
-    ``n_trials >= 1``, else :class:`EvaluationError`. The trials run on
-    every CPU the process may use; the report does not depend on how many.
+    ``n_trials >= 1``, else :class:`EvaluationError`. A trial costs the
+    same at any ``n_samples``: it draws each class's sample covariance, not
+    its scores (see :func:`_trial_ratios`). Inputs whose constraint,
+    population ratios or sample variances leave float64's range raise
+    :class:`EvaluationError`.
     """
     n_samples = _check_count("n_samples", n_samples, 10_000)
     seed = _check_count("seed", seed, 0)
@@ -403,10 +375,11 @@ def proposition_mc_verify(inputs: PropositionInputs, n_samples: int, seed: int,
     degenerate = inputs.h_m == 0.0 and inputs.h_h == 0.0
     constraint = None if inputs.h_h == 0.0 else proposition_constraint(inputs)
 
-    pop_pre = math.sqrt(inputs.l_h**2 + inputs.h_h**2) / math.sqrt(inputs.l_m**2 + inputs.h_m**2)
-    pop_post = inputs.l_h / inputs.l_m
-
-    pre_ratios, post_ratios = _trial_ratios(inputs, n_samples, seed, n_trials)
+    pop_pre, pop_post = _in_range("population ratio", inputs, lambda: (
+        math.sqrt(inputs.l_h**2 + inputs.h_h**2) / math.sqrt(inputs.l_m**2 + inputs.h_m**2),
+        inputs.l_h / inputs.l_m))
+    pre_ratios, post_ratios = _in_range(
+        "Monte-Carlo variance ratio", inputs, lambda: _trial_ratios(inputs, n_samples, seed, n_trials))
     hits = int(np.count_nonzero(post_ratios > pre_ratios))
 
     return McVerifyReport(

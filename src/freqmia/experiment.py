@@ -89,6 +89,21 @@ def _names(text):
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
+def _syntax_error(exc: configparser.Error) -> ConfigurationError:
+    """A parser error as a :class:`ConfigurationError` that gives the line
+    but not the file, which :func:`reading` adds."""
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return ConfigurationError(f"section [{exc.section}] appears twice", line=exc.lineno)
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return ConfigurationError(f"key {exc.option!r} appears twice in [{exc.section}]",
+                                  line=exc.lineno)
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return ConfigurationError("expected a [section] header", line=exc.lineno)
+    if isinstance(exc, configparser.ParsingError):
+        return ConfigurationError("expected <key> = <value>", line=exc.errors[0][0])
+    return ConfigurationError(str(exc))
+
+
 def _schema(cls):
     """(field, section, key) for every config field, in file order."""
     return [(f, f.metadata["section"], f.metadata["key"] or f.name) for f in fields(cls)]
@@ -207,7 +222,7 @@ class ExperimentConfig:
                 try:
                     parser.read_file(fh)
                 except configparser.Error as exc:
-                    raise ConfigurationError(str(exc)) from exc
+                    raise _syntax_error(exc) from exc
             schema = {(section, key): f for f, section, key in _schema(cls)}
             sections = {section for section, _ in schema}
             if parser.defaults():
@@ -276,7 +291,8 @@ class Pipeline:
 
     Each stage runs inside :meth:`stage`. When one fails, every file this
     pipeline wrote moves under ``<out>/partial/`` and an
-    :class:`ExperimentError` names the stage.
+    :class:`ExperimentError` names the stage. Building one makes the
+    output directory, so commands build it once their inputs have passed.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -410,8 +426,8 @@ def run_experiment(config: ExperimentConfig, denoiser_factory=None) -> dict:
     so tests can inject stub denoisers. No model file or loss trace is
     written in that case, and the report's ``final_train_loss`` is None.
     """
-    pipe = Pipeline(config)
     samples, sched = load_inputs(config)
+    pipe = Pipeline(config)
     trace = []
     if denoiser_factory is None:
         denoiser, trace = train_stage(pipe, samples, sched)

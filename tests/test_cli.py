@@ -4,12 +4,14 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import freqmia
 from freqmia.cli import main
+from freqmia.denoiser import load_denoiser, save_denoiser
 from test_experiment import nan_at_secmi_rung, tiny_config
 
 
@@ -149,6 +151,21 @@ class TestMalformedInputs:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "epoch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, line, message", [
+        ("[training]\nepochs = 3\n[training]\nbatch_size = 4\n", 3,
+         "section [training] appears twice"),
+        ("[training]\nepochs = 3\nepochs = 4\n", 3, "key 'epochs' appears twice in [training]"),
+        ("epochs = 3\n[training]\n", 1, "expected a [section] header"),
+        ("[training]\nepochs = 3\nstray\n", 3, "expected <key> = <value>"),
+    ], ids=["duplicate_section", "duplicate_key", "no_section_header", "no_value"])
+    def test_config_syntax_error_names_file_and_line_once(self, tmp_path, capsys, body, line,
+                                                          message):
+        path = tmp_path / "dup.ini"
+        path.write_text(body)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {path}, line {line}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_pixel_above_maxval_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -271,10 +288,11 @@ class TestMalformedInputs:
         (data / "manifest.csv").write_text("".join(f"s{i}.pgm,1\n" for i in range(4)))
         config = tiny_config(tmp_path / "out", dataset_kind="pgm_dir", dataset_path=str(data))
         config.to_file(tmp_path / "pgm.ini")
-        assert main(["train", "--config", str(tmp_path / "pgm.ini")]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {data / 'manifest.csv'}: must list both members and hold-outs\n"
-        assert not (tmp_path / "out" / "model.fmia").exists()
+        for command in ("train", "run"):
+            assert main([command, "--config", str(tmp_path / "pgm.ini")]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {data / 'manifest.csv'}: must list both members and hold-outs\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("header, rows", [
         ("sample_id,membership,score_raw,hf_content", "a,1,0.5,0.25"),
@@ -429,6 +447,34 @@ class TestMalformedInputs:
         assert "model.fmia" in err and model_value in err and config_value in err
         assert not list((tmp_path / "out").glob("scores_*.csv"))
 
+    def test_model_not_matching_config_leaves_no_output_directory(self, tmp_path, config_path,
+                                                                 capsys):
+        assert main(["train", "--config", str(config_path)]) == 0
+        fresh = tmp_path / "fresh"
+        tiny_config(fresh, timesteps=40).to_file(tmp_path / "other.ini")
+        capsys.readouterr()
+        assert main(["attack", "--config", str(tmp_path / "other.ini"),
+                     "--model", str(tmp_path / "out" / "model.fmia")]) == 1
+        assert "T=50" in capsys.readouterr().err
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize("warning_action", ["error", "ignore"])
+    def test_huge_finite_weights_fail_the_attack_stage(self, tmp_path, config_path, capsys,
+                                                       warning_action):
+        assert main(["train", "--config", str(config_path)]) == 0
+        model = tmp_path / "out" / "model.fmia"
+        den = load_denoiser(model)
+        den.params *= 1e200  # finite, but the squared score differences overflow
+        save_denoiser(den, model)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_action)
+            assert main(["attack", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'attack:naive' failed: the score of sample ")
+        assert err.endswith(" overflows float64\n")
+        assert not list((tmp_path / "out").rglob("scores_*.csv"))
+
     @pytest.mark.parametrize("name, body", [
         ("metrics_naive_raw.json", '{"asr": 0.5, "auc": 0.5,'),
         ("metrics_naive_raw.json", '{"asr": 0.5, "auc": 0.5, "tpr_at_1pct_fpr": 0.0}'),
@@ -453,6 +499,21 @@ class TestVerifyProp:
         assert report["constraint_satisfied"]
         assert report["fraction"] > 0.99
         assert report["population_holds"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lm", "inf"], "standard deviations must be finite"),
+        (["--hm", "nan"], "standard deviations must be finite"),
+        (["--lm", "1e200", "--lh", "1e200"], "k^2 or f of "),
+        (["--hm", "1e200", "--hh", "0"], "population ratio of "),
+    ], ids=["inf", "nan", "constraint_overflow", "population_overflow"])
+    def test_non_finite_or_overflowing_value_exits_1(self, capsys, flags, message):
+        args = {"--lm": "1", "--lh": "1.2", "--hm": "0.5", "--hh": "0.5", "--n-trials": "5"}
+        args.update(zip(flags[::2], flags[1::2]))
+        assert main(["verify-prop", *[item for pair in args.items() for item in pair]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err and "NaN" not in captured.err
 
     def test_missing_required_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

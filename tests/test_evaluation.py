@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -395,17 +396,39 @@ class TestPropositionMcVerify:
         ("n_trials", 2.0),
         ("n_trials", True),
     ], ids=["negative_seed", "float_seed", "float_n_samples", "float_n_trials", "bool_n_trials"])
-    def test_non_integer_or_negative_argument_rejected_before_any_thread(
+    def test_non_integer_or_negative_argument_rejected_before_any_draw(
             self, monkeypatch, name, value):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a random stream was made")
 
-        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(evaluation.threading, "Thread", no_thread)
+        monkeypatch.setattr(evaluation.np.random, "SeedSequence", no_stream)
+        monkeypatch.setattr(evaluation.np.random, "PCG64", no_stream)
         inputs = PropositionInputs(l_m=1.0, l_h=1.2, h_m=0.5, h_h=0.5)
         kwargs = {"n_samples": 10_000, "seed": 0, "n_trials": 2, name: value}
         with pytest.raises(EvaluationError, match=f"{name} must be an integer"):
             proposition_mc_verify(inputs, **kwargs)
+
+    @pytest.mark.parametrize("values", [
+        (math.inf, 1.2, 0.5, 0.5),
+        (1.0, 1.2, math.nan, 0.5),
+        (1.0, 1.2, 0.5, -math.inf),
+    ], ids=["inf_l_m", "nan_h_m", "minus_inf_h_h"])
+    def test_non_finite_input_rejected(self, values):
+        with pytest.raises(EvaluationError, match="must be finite"):
+            PropositionInputs(*values)
+
+    @pytest.mark.parametrize("values, what", [
+        ((1e200, 1e200, 0.5, 0.5), "k^2 or f"),
+        ((1.0, 1.2, 1e200, 1e-200), "k^2 or f"),
+        ((1.0, 1.2, 1e200, 0.0), "population ratio"),
+        ((1e-200, 1e-200, 0.0, 0.0), "population ratio"),
+        ((1e153, 1e153, 0.0, 0.0), "Monte-Carlo variance ratio"),
+    ], ids=["constraint_overflow", "constraint_divisor_underflow", "population_overflow",
+            "population_divisor_underflow", "variance_overflow"])
+    def test_out_of_range_arithmetic_raises_evaluation_error(self, values, what):
+        inputs = PropositionInputs(*values)
+        with pytest.raises(EvaluationError, match=f"{re.escape(what)} of .* out of float64 range"):
+            proposition_mc_verify(inputs, n_samples=10_000, seed=0, n_trials=3)
 
     def test_numpy_integer_arguments_accepted(self):
         inputs = PropositionInputs(l_m=1.0, l_h=1.2, h_m=0.5, h_h=0.5)

@@ -9,10 +9,13 @@ deletion or insertion, a truncation, or a splice of ``nan``, ``inf``,
 ``cli.main``. Whatever the bytes, the command exits 0 or 1, with an
 ``error:`` line and no traceback, and an exit-1 message names the mutated
 file. Only the weight file may also exit 2: weights that are finite but
-huge overflow in the attack stage. The corpus is stdlib ``random`` with a
-fixed seed per file.
+huge overflow in the attack stage. No weight-file case leaves a score
+file, under ``partial/`` or not, with a non-finite cell. The corpus is
+stdlib ``random`` with a fixed seed per file.
 """
 
+import csv
+import math
 import random
 import shutil
 
@@ -50,6 +53,18 @@ def mutate(blob: bytes, rng: random.Random) -> bytes:
         return blob[:at]
     splice = rng.choice(SPLICES)
     return blob[:at] + splice + blob[at + (len(splice) if kind == "overwrite" else 0):]
+
+
+def non_finite_score_files(out):
+    """Names of the score CSVs under ``out``, ``partial/`` included, with a
+    score or ``hf_content`` cell that reads as a non-finite float."""
+    bad = []
+    for path in sorted(out.rglob("scores_*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        if not all(math.isfinite(float(cell)) for row in rows for cell in row[2:]):
+            bad.append(str(path.relative_to(out)))
+    return bad
 
 
 @pytest.fixture(scope="module")
@@ -92,5 +107,7 @@ def test_mutated_input_ends_in_a_named_error(target, base_run, tmp_path, monkeyp
             failures.append((case, code, err))
         elif code == 1 and name not in err:
             failures.append((case, "unnamed", err))
+        elif target.endswith(".fmia") and (bad := non_finite_score_files(work / "out")):
+            failures.append((case, "non-finite scores", bad))
         shutil.rmtree(work)
     assert not failures, failures[:5]

@@ -1,13 +1,14 @@
 """The score-file and evaluation paths work on whole columns. The
 per-record code they replaced is kept here as the oracle: the column code
 must give the same array bytes, floats, file bytes and errors. The
-Monte-Carlo verifier runs its trials on several threads; its serial trial
-loop is kept here the same way, and every worker count must give its
-ratio bytes and report. Scoring norms and filters a stack of samples at a
-time, the denoiser builds its own input row and the DDIM chains check their
-timesteps once; the per-sample loop, the ``predict_batch``-based call and
-the fully checked DDIM step are kept here as the oracle, and every record
-must be equal."""
+Monte-Carlo verifier draws each class's sample covariance by Bartlett's
+decomposition; a serial loop over its Wishart entries pins its ratio bytes
+and report, and direct draws of every sample are its statistical oracle.
+Scoring norms and filters a stack of samples at a time, the denoiser
+builds its own input row and the DDIM chains check their timesteps once;
+the per-sample loop, the ``predict_batch``-based call and the fully
+checked DDIM step are kept here as the oracle, and every record must be
+equal."""
 
 import csv
 import hashlib
@@ -15,11 +16,8 @@ import importlib.util
 import json
 import math
 import random
-import sys
-import threading
 import time
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -336,9 +334,11 @@ class TestScoreCsvRead:
 
 # --- the Monte-Carlo verifier ---------------------------------------------
 
-def serial_mc_verify(inputs, n_samples, seed, n_trials):
-    """The verifier as one serial loop with fresh arrays per trial; returns
-    the report and the per-trial pre- and post-filter ratios."""
+def bartlett_mc_verify(inputs, n_samples, seed, n_trials):
+    """The verifier as one serial loop over the Wishart entries of each
+    class's scaled sample covariance (n - 1) S = L A A^T L, L = diag(l, h)
+    and A = [[c1, 0], [z, c2]]; returns the report and the per-trial pre-
+    and post-filter ratios."""
     degenerate = inputs.h_m == 0.0 and inputs.h_h == 0.0
     constraint = None if inputs.h_h == 0.0 else proposition_constraint(inputs)
     pop_pre = math.sqrt(inputs.l_h**2 + inputs.h_h**2) / math.sqrt(inputs.l_m**2 + inputs.h_m**2)
@@ -349,16 +349,18 @@ def serial_mc_verify(inputs, n_samples, seed, n_trials):
     post_ratios = np.empty(n_trials)
     for i, child in enumerate(children):
         rng = np.random.Generator(np.random.PCG64(child))
-        low_m = rng.standard_normal(n_samples, dtype=np.float32) * inputs.l_m
-        high_m = rng.standard_normal(n_samples, dtype=np.float32) * inputs.h_m
-        low_h = rng.standard_normal(n_samples, dtype=np.float32) * inputs.l_h
-        high_h = rng.standard_normal(n_samples, dtype=np.float32) * inputs.h_h
-        sigma_m = np.std(low_m + high_m, ddof=1)
-        sigma_h = np.std(low_h + high_h, ddof=1)
-        sigma_m_post = np.std(low_m, ddof=1)
-        sigma_h_post = np.std(low_h, ddof=1)
-        pre_ratios[i] = sigma_h / sigma_m
-        post_ratios[i] = sigma_h_post / sigma_m_post
+        var_pre, var_post = {}, {}
+        for name, l_sd, h_sd in (("m", inputs.l_m, inputs.h_m), ("h", inputs.l_h, inputs.h_h)):
+            c1 = math.sqrt(c1_sq := rng.chisquare(n_samples - 1))
+            c2_sq = rng.chisquare(n_samples - 2)
+            z = rng.standard_normal()
+            w_low = l_sd * l_sd * c1_sq
+            w_high = h_sd * h_sd * (z * z + c2_sq)
+            w_cross = l_sd * h_sd * c1 * z
+            var_post[name] = w_low
+            var_pre[name] = w_low + w_high + 2.0 * w_cross
+        pre_ratios[i] = math.sqrt(var_pre["h"] / var_pre["m"])
+        post_ratios[i] = math.sqrt(var_post["h"] / var_post["m"])
         if post_ratios[i] > pre_ratios[i]:
             hits += 1
     report = McVerifyReport(
@@ -379,6 +381,31 @@ def serial_mc_verify(inputs, n_samples, seed, n_trials):
     return report, pre_ratios, post_ratios
 
 
+def direct_ratios(inputs, n_samples, n_trials, seed):
+    """Per-trial pre- and post-filter ratios from ``n_samples`` float64
+    draws of each class's low and high components."""
+    rng = np.random.default_rng(seed)
+    pre, post = np.empty(n_trials), np.empty(n_trials)
+    for i in range(n_trials):
+        sd_pre, sd_post = [], []
+        for l_sd, h_sd in ((inputs.l_m, inputs.h_m), (inputs.l_h, inputs.h_h)):
+            low = l_sd * rng.standard_normal(n_samples)
+            high = h_sd * rng.standard_normal(n_samples)
+            sd_pre.append(np.std(low + high, ddof=1))
+            sd_post.append(np.std(low, ddof=1))
+        pre[i] = sd_pre[1] / sd_pre[0]
+        post[i] = sd_post[1] / sd_post[0]
+    return pre, post
+
+
+def ks_two_sample(a, b):
+    """The two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, grid, side="right") / a.size
+                               - np.searchsorted(b, grid, side="right") / b.size)))
+
+
 def _benchmark_points():
     """The 16 margin points and verifier seeds of the seed-0
     ``proposition-sweep`` benchmark workload."""
@@ -394,134 +421,82 @@ def _benchmark_points():
     return points
 
 
+CLEAR = PropositionInputs(l_m=1.0, l_h=1.2, h_m=0.5, h_h=0.5)
+
+
 def mc_cases():
     """``(inputs, n_samples, seed, n_trials)``: the benchmark points at 1e4
     samples and the first at the benchmark's 1e5, a degenerate high band,
-    odd trial counts, sample counts that are not round, and an overflow."""
+    odd trial counts, sample counts that are not round, magnitudes that
+    overflow float32, and 1e12 samples."""
     points = _benchmark_points()
     cases = [(PropositionInputs(**inputs), 10_000, seed, 16) for inputs, seed in points]
     cases.append((PropositionInputs(**points[0][0]), 100_000, points[0][1], 16))
-    clear = PropositionInputs(l_m=1.0, l_h=1.2, h_m=0.5, h_h=0.5)
     cases.append((PropositionInputs(l_m=1.0, l_h=1.2, h_m=0.0, h_h=0.0), 10_000, 1, 10))
-    cases += [(clear, 10_000, 40 + n_trials, n_trials) for n_trials in (1, 3, 5, 7)]
-    cases += [(clear, n_samples, 7, 4) for n_samples in (10_001, 12_345)]
+    cases += [(CLEAR, 10_000, 40 + n_trials, n_trials) for n_trials in (1, 3, 5, 7)]
+    cases += [(CLEAR, n_samples, 7, 4) for n_samples in (10_001, 12_345)]
     cases.append((PropositionInputs(l_m=3e38, l_h=3e38, h_m=1e30, h_h=1.0), 10_000, 9, 5))
+    cases.append((CLEAR, 10**12, 11, 6))
     return cases
 
 
 MC_CASES = mc_cases()
 
 
-def _use_cpus(monkeypatch, n_cpus):
-    monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
-
-
-def _mc_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("mc-verify-")]
-
-
 class TestMcVerify:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("case", range(len(MC_CASES)))
-    def test_same_ratio_bytes_and_report(self, monkeypatch, workers, case):
+    def test_same_ratio_bytes_and_report(self, case):
         inputs, n_samples, seed, n_trials = MC_CASES[case]
-        _use_cpus(monkeypatch, workers)
-        with np.errstate(over="ignore", invalid="ignore"):  # the overflow case
-            want, want_pre, want_post = serial_mc_verify(inputs, n_samples, seed, n_trials)
-            pre, post = evaluation._trial_ratios(inputs, n_samples, seed, n_trials)
-            got = proposition_mc_verify(inputs, n_samples, seed, n_trials)
+        want, want_pre, want_post = bartlett_mc_verify(inputs, n_samples, seed, n_trials)
+        pre, post = evaluation._trial_ratios(inputs, n_samples, seed, n_trials)
+        got = proposition_mc_verify(inputs, n_samples, seed, n_trials)
         assert pre.tobytes() == want_pre.tobytes()
         assert post.tobytes() == want_post.tobytes()
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
-    def test_more_workers_than_cpus_with_fast_switching(self, monkeypatch):
-        inputs, n_samples, seed, _ = MC_CASES[0]
-        want, want_pre, want_post = serial_mc_verify(inputs, n_samples, seed, 7)
-        _use_cpus(monkeypatch, 7)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            start = time.perf_counter()
-            pre, post = evaluation._trial_ratios(inputs, n_samples, seed, 7)
-            elapsed = time.perf_counter() - start
-        finally:
-            sys.setswitchinterval(interval)
-        assert pre.tobytes() == want_pre.tobytes()
-        assert post.tobytes() == want_post.tobytes()
-        assert elapsed < 30.0
+    def test_degenerate_band_gives_bitwise_equal_ratios(self):
+        inputs = PropositionInputs(l_m=1.0, l_h=1.2, h_m=0.0, h_h=0.0)
+        pre, post = evaluation._trial_ratios(inputs, 10_000, 3, 50)
+        assert pre.tobytes() == post.tobytes()
 
-    def test_worker_count_without_sched_getaffinity(self, monkeypatch):
-        monkeypatch.delattr(evaluation.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 3)
-        assert evaluation._usable_cpus() == 3
-        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: None)
-        assert evaluation._usable_cpus() == 1
+    def test_trial_does_not_depend_on_the_trial_count(self):
+        pre, post = evaluation._trial_ratios(CLEAR, 10_000, 5, 8)
+        pre_3, post_3 = evaluation._trial_ratios(CLEAR, 10_000, 5, 3)
+        assert pre[:3].tobytes() == pre_3.tobytes() and post[:3].tobytes() == post_3.tobytes()
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
+    @pytest.mark.parametrize("inputs", [CLEAR, PropositionInputs(l_m=0.7, l_h=0.9, h_m=1.4, h_h=1.0)],
+                             ids=["clear", "k_above_1"])
+    def test_same_distribution_as_direct_draws(self, inputs):
+        """Two-sample KS of 400 Bartlett trials against 400 direct-draw
+        trials at n = 1e4, at the 0.1% level: the critical value of D is
+        c(0.001) sqrt(2 / 400), c(alpha) = sqrt(-ln(alpha / 2) / 2)."""
+        n, trials = 10_000, 400
+        pre, post = evaluation._trial_ratios(inputs, n, 2024, trials)
+        want_pre, want_post = direct_ratios(inputs, n, trials, seed=4048)
+        critical = math.sqrt(-math.log(0.001 / 2) / 2) * math.sqrt(2 / trials)
+        for got, want in ((pre, want_pre), (post, want_post), (post - pre, want_post - want_pre)):
+            assert ks_two_sample(got, want) < critical
 
-        _use_cpus(monkeypatch, 1)
-        monkeypatch.setattr(evaluation.threading, "Thread", no_thread)
-        inputs, n_samples, seed, n_trials = MC_CASES[0]
-        assert proposition_mc_verify(inputs, n_samples, seed, n_trials) == \
-            serial_mc_verify(inputs, n_samples, seed, n_trials)[0]
+    def test_a_trial_costs_the_same_at_any_sample_count(self):
+        start = time.perf_counter()
+        report = proposition_mc_verify(CLEAR, 10**12, 0, 16)
+        assert time.perf_counter() - start < 1.0
+        assert report.fraction == 1.0
 
-    def test_no_thread_outlives_a_normal_return(self, monkeypatch):
-        _use_cpus(monkeypatch, 3)
-        before = threading.active_count()
-        proposition_mc_verify(*MC_CASES[0])
-        assert threading.active_count() == before
-        assert not _mc_threads()
-
-    @pytest.mark.parametrize("failing_trial", [0, 1, 5],
-                             ids=["calling_thread", "worker_1", "worker_2"])
-    def test_worker_error_raised_after_every_worker_joined(self, monkeypatch, failing_trial):
-        class TrialFailed(Exception):
-            pass
-
-        real_pcg64 = np.random.PCG64
-
-        def pcg64(child):
-            if child.spawn_key[-1] == failing_trial:
-                raise TrialFailed(failing_trial)
-            return real_pcg64(child)
-
-        _use_cpus(monkeypatch, 3)
-        monkeypatch.setattr(evaluation.np.random, "PCG64", pcg64)
-        before = threading.active_count()
-        inputs, n_samples, seed, _ = MC_CASES[0]
-        with pytest.raises(TrialFailed):
-            proposition_mc_verify(inputs, n_samples, seed, 9)
-        assert threading.active_count() == before
-        assert not _mc_threads()
-
-    def test_workers_use_the_callers_numpy_error_state(self, monkeypatch):
-        inputs, n_samples, seed, n_trials = MC_CASES[-1]  # overflows in every trial
-        _use_cpus(monkeypatch, 3)
-        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
-            warnings.simplefilter("always")
-            proposition_mc_verify(inputs, n_samples, seed, n_trials)
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_peak_memory_is_two_buffers_per_worker(self, monkeypatch, workers):
-        """numpy traces its data buffers. Each worker owns two float32
-        buffers of n and ``np.std`` allocates one more while it runs, in
-        each worker at once at worst: at most 3 per worker, plus one for
-        small objects. Fresh arrays per trial (four draws, the sum and
-        ``np.std``'s temporary) would hold six at once in one worker."""
-        n = 100_000
-        inputs, _, seed, _ = MC_CASES[0]
-        _use_cpus(monkeypatch, workers)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            proposition_mc_verify(inputs, n, seed, 2 * workers)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= (3 * workers + 1) * 4 * n
+    def test_peak_memory_does_not_grow_with_the_sample_count(self):
+        """numpy traces its data buffers. 1e5 comes before 1e9 so that a
+        verifier that allocates per sample fails before it asks for GBs."""
+        peaks = []
+        proposition_mc_verify(CLEAR, 10_000, 0, 16)  # warm up numpy's and Python's caches
+        for n in (10_000, 100_000, 10**9):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                proposition_mc_verify(CLEAR, n, 0, 16)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert peaks[-1] == peaks[0], (n, peaks)
 
 
 # --- scoring ---------------------------------------------------------------
