@@ -445,11 +445,16 @@ MC_CASES = mc_cases()
 
 class TestMcVerify:
     @pytest.mark.parametrize("case", range(len(MC_CASES)))
-    def test_same_ratio_bytes_and_report(self, case):
+    @pytest.mark.parametrize("count_type, seed_type", [(int, int), (np.int64, int), (int, np.uint64)],
+                             ids=["python", "int64_counts", "uint64_seed"])
+    def test_same_ratio_bytes_and_report(self, case, count_type, seed_type):
+        """The arguments may come as Python or numpy integers (benchmark
+        seeds need uint64); the report is the same, down to its JSON."""
         inputs, n_samples, seed, n_trials = MC_CASES[case]
         want, want_pre, want_post = bartlett_mc_verify(inputs, n_samples, seed, n_trials)
         pre, post = evaluation._trial_ratios(inputs, n_samples, seed, n_trials)
-        got = proposition_mc_verify(inputs, n_samples, seed, n_trials)
+        got = proposition_mc_verify(inputs, count_type(n_samples), seed_type(seed),
+                                    count_type(n_trials))
         assert pre.tobytes() == want_pre.tobytes()
         assert post.tobytes() == want_post.tobytes()
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
