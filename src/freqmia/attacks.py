@@ -1,8 +1,8 @@
 """Error-based membership scoring under a single distance paradigm.
 
-Each attack builds a (predicted, target) image pair for a sample; the
-membership scores are the q-norm of their difference as it is (raw) and
-after the high-frequency filter (filtered). Lower scores indicate
+Each attack builds a (predicted, target) pair for a stack of samples; the
+membership scores are the q-norm of each sample's difference as it is (raw)
+and after the high-frequency filter (filtered). Lower scores indicate
 membership. Three instantiations are provided:
 
 * naive: compare sampled noise against the model's noise prediction,
@@ -12,8 +12,8 @@ membership. Three instantiations are provided:
 * secmi: reconstruction error of one deterministic reverse/denoise
   round trip at the attack timestep.
 
-Samples are scored independently; scoring may run in parallel as long as
-output order follows input order. The denoiser is only read.
+The denoiser is called once per image and only read, so every score has
+the bits of its sample scored alone, whatever stack it is in.
 """
 
 import csv
@@ -118,45 +118,44 @@ class ScoreRecord(NamedTuple):
     hf_content: float
 
 
-def _q_norms(diffs: np.ndarray, q: int) -> np.ndarray:
-    """The q-norm of each entry of a stack of differences, taken over all
-    its other axes; an entry's norm is bitwise that of the entry alone."""
-    axes = tuple(range(1, diffs.ndim))
-    if q == 1:
-        return np.sum(np.abs(diffs), axis=axes)
-    return np.sqrt(np.sum(diffs**2, axis=axes))
-
-
-def paradigm_score(pair: ScorePair, q: int = 2, filt: Optional[FilterSpec] = None) -> float:
-    """q-norm distance between predicted and target, optionally filtered.
-
-    By linearity of the filter, the difference is filtered once instead of
-    filtering both tensors; the two paths agree to round-off.
-    """
+def paradigm_score(pair: ScorePair, q: int = 2, filt: Optional[FilterSpec] = None) -> np.ndarray:
+    """q-norm distance between each predicted image and its target,
+    optionally filtered: one float64 per entry of the leading axis, bitwise
+    that of the entry alone. By linearity of the filter, the difference is
+    filtered once instead of filtering both tensors; the two paths agree to
+    round-off."""
     if q not in (1, 2):
         raise ContractViolation(f"norm order q must be 1 or 2, got {q}")
     diff = pair.predicted - pair.target
     if filt is not None:
         diff = apply_filter(diff, filt)
-    return float(_q_norms(diff[None], q)[0])
+    axes = tuple(range(1, diff.ndim))
+    if q == 1:
+        return np.sum(np.abs(diff), axis=axes)
+    return np.sqrt(np.sum(diff**2, axis=axes))
 
 
-def naive_pair(x0, t: int, denoiser, sched: NoiseSchedule, seed: int) -> ScorePair:
-    """Sampled-noise prediction error mapped to image space.
+def _per_image(denoiser):
+    """The denoiser over a stack of images: one call per image, stacked."""
+    return lambda x, t: np.stack([denoiser(image, t) for image in x])
 
-    The seed fixes the drawn noise, so identical seeds give identical
-    scores. The target equals x0 up to round-off.
-    """
+
+def naive_pair(x0, t: int, denoiser, sched: NoiseSchedule, seeds) -> ScorePair:
+    """Sampled-noise prediction error mapped to image space, for a stack of
+    images with one seed each. An image's seed fixes its drawn noise, so
+    identical seeds give identical scores. The target equals x0 up to
+    round-off."""
     x0 = np.asarray(x0, dtype=np.float64)
-    return _noise_error_pair(x0, t, derive_rng(seed, "naive-eps").standard_normal(x0.shape),
-                             denoiser, sched)
+    eps = np.stack([derive_rng(seed, "naive-eps").standard_normal(x0.shape[1:]) for seed in seeds])
+    return _noise_error_pair(x0, t, eps, _per_image(denoiser), sched)
 
 
 def pia_pair(x0, t: int, denoiser, sched: NoiseSchedule) -> ScorePair:
-    """Proximal-initialization variant: the noise is the model's own
-    prediction at timestep 0, so no randomness is involved."""
+    """Proximal-initialization variant over a stack of images: the noise is
+    the model's own prediction at timestep 0, so no randomness is involved."""
     x0 = np.asarray(x0, dtype=np.float64)
-    return _noise_error_pair(x0, t, np.asarray(denoiser(x0, 0), dtype=np.float64), denoiser, sched)
+    denoiser = _per_image(denoiser)
+    return _noise_error_pair(x0, t, denoiser(x0, 0), denoiser, sched)
 
 
 def _noise_error_pair(x0, t: int, eps, denoiser, sched: NoiseSchedule) -> ScorePair:
@@ -169,27 +168,19 @@ def _noise_error_pair(x0, t: int, eps, denoiser, sched: NoiseSchedule) -> ScoreP
 
 
 def secmi_pair(x0, t: int, denoiser, sched: NoiseSchedule, stride: int) -> ScorePair:
-    """Posterior-estimation error at t: deterministically invert x0 up to
-    t, then apply one reverse macro-step followed by one denoise
-    macro-step and compare against the inverted state."""
+    """Posterior-estimation error at t: deterministically invert a stack of
+    images up to t in lockstep, then apply one reverse macro-step followed
+    by one denoise macro-step and compare against the inverted state."""
     _check_secmi_ladder(t, stride, sched.T)
+    denoiser = _per_image(denoiser)
     x_tilde = ddim_reverse_chain(x0, 0, t, denoiser, sched, stride)
     up = ddim_reverse_chain(x_tilde, t, t + stride, denoiser, sched, stride)
     predicted = ddim_denoise_chain(up, t + stride, t, denoiser, sched, stride)
     return ScorePair(predicted=predicted, target=x_tilde)
 
 
-def _build_pair(sample, config: AttackConfig, denoiser, sched: NoiseSchedule) -> ScorePair:
-    if config.kind == "naive":
-        return naive_pair(sample.image, config.t_attack, denoiser, sched,
-                          seed=derive_seed(config.seed, "attack-sample", sample.sample_id))
-    if config.kind == "pia":
-        return pia_pair(sample.image, config.t_attack, denoiser, sched)
-    return secmi_pair(sample.image, config.t_attack, denoiser, sched, config.stride)
-
-
-# samples whose differences are normed and filtered as one stack: enough to
-# spread the FFT's per-call cost, and a 16x16 stack's spectrum is 256 KB
+# samples scored as one stack: enough to spread the FFT's and the chains'
+# per-call cost, and a 16x16 stack's spectrum is 256 KB
 _SCORE_CHUNK = 64
 
 
@@ -199,11 +190,11 @@ def run_attack(samples, config: AttackConfig, denoiser, sched: NoiseSchedule,
 
     Raw and filtered scores come from the same pair, so they differ only
     by the filter. Per-sample noise is keyed by (config seed, sample id),
-    making the output independent of dataset ordering. Pairs are built one
-    sample at a time; every ``_SCORE_CHUNK`` samples' differences are then
-    normed and filtered as one stack, which gives each score the bits of
-    :func:`paradigm_score` on its own pair. A non-finite difference fails
-    the filter's check for the whole stack, and a finite one whose norm
+    making the output independent of dataset ordering. Every
+    ``_SCORE_CHUNK`` samples get one pair call and two
+    :func:`paradigm_score` calls, raw and filtered, so no score's bits
+    depend on the chunk it is in. A non-finite difference fails the
+    filter's check for the whole chunk, and a finite one whose norm
     overflows raises :class:`ContractViolation` naming its sample.
     """
     samples = list(samples)
@@ -213,11 +204,17 @@ def run_attack(samples, config: AttackConfig, denoiser, sched: NoiseSchedule,
     records = []
     for start in range(0, len(samples), _SCORE_CHUNK):
         chunk = samples[start:start + _SCORE_CHUNK]
-        pairs = [_build_pair(sample, config, denoiser, sched) for sample in chunk]
-        diffs = np.stack([pair.predicted - pair.target for pair in pairs])
+        images = np.stack([sample.image for sample in chunk])
+        if config.kind == "naive":
+            seeds = [derive_seed(config.seed, "attack-sample", s.sample_id) for s in chunk]
+            pair = naive_pair(images, config.t_attack, denoiser, sched, seeds)
+        elif config.kind == "pia":
+            pair = pia_pair(images, config.t_attack, denoiser, sched)
+        else:
+            pair = secmi_pair(images, config.t_attack, denoiser, sched, config.stride)
         with np.errstate(over="ignore"):  # an overflowed norm is reported below
-            raw = _q_norms(diffs, config.q)
-            filtered = _q_norms(apply_filter(diffs, config.filter), config.q)
+            raw = paradigm_score(pair, config.q)
+            filtered = paradigm_score(pair, config.q, config.filter)
         finite = np.isfinite(raw) & np.isfinite(filtered)
         if not finite.all():
             raise ContractViolation(f"the score of sample {chunk[np.argmin(finite)].sample_id!r} "

@@ -290,9 +290,10 @@ class Pipeline:
     """The output directory of one command and the files its stages wrote.
 
     Each stage runs inside :meth:`stage`. When one fails, every file this
-    pipeline wrote moves under ``<out>/partial/`` and an
-    :class:`ExperimentError` names the stage. Building one makes the
-    output directory, so commands build it once their inputs have passed.
+    pipeline wrote moves under ``<out>/partial/`` (made only for such a
+    file) and an :class:`ExperimentError` names the stage. Building one
+    makes the output directory, so commands build it once their inputs
+    have passed.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -314,9 +315,9 @@ class Pipeline:
             yield
         except Exception as exc:
             partial = self.out / "partial"
-            partial.mkdir(exist_ok=True)
             for produced in self.written:
                 if produced.exists():
+                    partial.mkdir(exist_ok=True)
                     shutil.move(str(produced), str(partial / produced.name))
             raise ExperimentError(name, str(exc)) from exc
 

@@ -80,22 +80,22 @@ def test_criterion_2_attack_identities(capsys):
         scale = math.sqrt((1.0 - sched.alpha_bar[t]) / sched.alpha_bar[t])
 
         seed = int(rng.integers(0, 2**32))
-        pair = naive_pair(x0, t, den, sched, seed=seed)
+        pair = naive_pair(x0[None], t, den, sched, seeds=[seed])
         eps = derive_rng(seed, "naive-eps").standard_normal(x0.shape)
         oracle = scale * math.sqrt(float(np.sum((eps - eps_hat) ** 2)))
-        worst_naive = max(worst_naive, abs(paradigm_score(pair, q=2) - oracle))
+        worst_naive = max(worst_naive, abs(paradigm_score(pair, q=2)[0] - oracle))
 
-        pair = pia_pair(x0, t, den, sched)
+        pair = pia_pair(x0[None], t, den, sched)
         # state-independent stub: eps0 equals the prediction, score is 0
-        worst_pia = max(worst_pia, abs(paradigm_score(pair, q=2) - 0.0))
+        worst_pia = max(worst_pia, abs(paradigm_score(pair, q=2)[0] - 0.0))
 
         # state-dependent check of the pia identity
         den_affine = lambda x, tt: 0.4 * x + 0.05 * np.roll(x, 1, axis=-1)
-        pair = pia_pair(x0, t, den_affine, sched)
+        pair = pia_pair(x0[None], t, den_affine, sched)
         eps0 = den_affine(x0, 0)
         x_t = q_sample(x0, t, eps0, sched)
         oracle = scale * math.sqrt(float(np.sum((eps0 - den_affine(x_t, t)) ** 2)))
-        worst_pia = max(worst_pia, abs(paradigm_score(pair, q=2) - oracle))
+        worst_pia = max(worst_pia, abs(paradigm_score(pair, q=2)[0] - oracle))
 
     # secmi t-error vanishes for any state-independent denoiser; float
     # round-off caps the achievable zero at ~1e-15, asserted at 1e-12
@@ -105,8 +105,8 @@ def test_criterion_2_attack_identities(capsys):
         x0 = rng.uniform(-1.0, 1.0, size=(1, 8, 8))
         const = rng.standard_normal((1, 8, 8)) if i else np.zeros((1, 8, 8))
         den = lambda x, tt, c=const: c.copy()
-        pair = secmi_pair(x0, 100, den, sched, stride=10)
-        worst_secmi = max(worst_secmi, paradigm_score(pair, q=2))
+        pair = secmi_pair(x0[None], 100, den, sched, stride=10)
+        worst_secmi = max(worst_secmi, paradigm_score(pair, q=2)[0])
 
     ok = worst_naive < 1e-9 and worst_pia < 1e-9 and worst_secmi < 1e-12
     assert announce(capsys, 2, "algebraic attack identities", ok)

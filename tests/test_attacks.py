@@ -33,39 +33,39 @@ def images():
 
 class TestParadigmScore:
     def test_identical_pair_scores_zero(self, images):
-        pair = ScorePair(predicted=images[0], target=images[0].copy())
-        assert paradigm_score(pair, q=2) == 0.0
-        assert paradigm_score(pair, q=1) == 0.0
-        assert paradigm_score(pair, q=2, filt=FilterSpec(s=0.2, r_t=5.0)) == 0.0
+        pair = ScorePair(predicted=images[0][None], target=images[0][None].copy())
+        assert paradigm_score(pair, q=2)[0] == 0.0
+        assert paradigm_score(pair, q=1)[0] == 0.0
+        assert paradigm_score(pair, q=2, filt=FilterSpec(s=0.2, r_t=5.0))[0] == 0.0
 
     def test_unit_impulse_l2(self):
         target = np.zeros((1, 8, 8))
         predicted = target.copy()
         predicted[0, 3, 4] = 1.0
-        assert paradigm_score(ScorePair(predicted, target), q=2) == pytest.approx(1.0)
+        assert paradigm_score(ScorePair(predicted[None], target[None]), q=2)[0] == pytest.approx(1.0)
 
     def test_l1_norm(self):
         target = np.zeros((1, 4, 4))
         predicted = np.full((1, 4, 4), 0.5)
-        assert paradigm_score(ScorePair(predicted, target), q=1) == pytest.approx(8.0)
+        assert paradigm_score(ScorePair(predicted[None], target[None]), q=1)[0] == pytest.approx(8.0)
 
     def test_filter_path_equivalence(self, images):
         # filtering the difference must match filtering both tensors
         filt = FilterSpec(s=0.2, r_t=5.0)
-        pair = ScorePair(predicted=images[0], target=images[1])
-        fast = paradigm_score(pair, q=2, filt=filt)
+        pair = ScorePair(predicted=images[0][None], target=images[1][None])
+        fast = paradigm_score(pair, q=2, filt=filt)[0]
         both = np.sqrt(np.sum((apply_filter(images[0], filt) - apply_filter(images[1], filt)) ** 2))
         assert abs(fast - both) < 1e-9
 
     def test_explicit_pipeline_oracle(self, images):
         filt = FilterSpec(s=0.2, r_t=5.0)
-        pair = ScorePair(predicted=images[2], target=images[3])
+        pair = ScorePair(predicted=images[2][None], target=images[3][None])
         from freqmia.spectral import build_mask, forward_dft, inverse_dft
         mask = build_mask(filt, 8, 8)
         fp = inverse_dft(forward_dft(images[2]) * mask)
         ft = inverse_dft(forward_dft(images[3]) * mask)
         oracle = np.sqrt(np.sum((fp - ft) ** 2))
-        assert abs(paradigm_score(pair, q=2, filt=filt) - oracle) < 1e-9
+        assert abs(paradigm_score(pair, q=2, filt=filt)[0] - oracle) < 1e-9
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ContractViolation):
@@ -80,12 +80,12 @@ class TestNaivePair:
     def test_perfect_stub_scores_zero(self, small_sched, images):
         seed = 77
         eps = derive_rng(seed, "naive-eps").standard_normal(images[0].shape)
-        pair = naive_pair(images[0], 10, make_const_denoiser(eps), small_sched, seed=seed)
-        assert paradigm_score(pair, q=2) == 0.0
+        pair = naive_pair(images[0][None], 10, make_const_denoiser(eps), small_sched, seeds=[seed])
+        assert paradigm_score(pair, q=2)[0] == 0.0
 
     def test_target_recovers_x0(self, small_sched, images):
-        pair = naive_pair(images[0], 10, zero_denoiser, small_sched, seed=5)
-        assert np.max(np.abs(pair.target - images[0])) < 1e-9
+        pair = naive_pair(images[0][None], 10, zero_denoiser, small_sched, seeds=[5])
+        assert np.max(np.abs(pair.target[0] - images[0])) < 1e-9
 
     def test_scale_identity(self, small_sched, images):
         # the image-space score equals the eps-space error scaled by
@@ -93,8 +93,8 @@ class TestNaivePair:
         t, seed = 20, 11
         eps_hat = np.random.default_rng(1).standard_normal(images[0].shape)
         den = make_const_denoiser(eps_hat)
-        pair = naive_pair(images[0], t, den, small_sched, seed=seed)
-        score = paradigm_score(pair, q=2)
+        pair = naive_pair(images[0][None], t, den, small_sched, seeds=[seed])
+        score = paradigm_score(pair, q=2)[0]
 
         eps = derive_rng(seed, "naive-eps").standard_normal(images[0].shape)
         abar = small_sched.alpha_bar[t]
@@ -103,9 +103,9 @@ class TestNaivePair:
 
     def test_seed_determinism(self, small_sched, images):
         den = zero_denoiser
-        a = paradigm_score(naive_pair(images[0], 10, den, small_sched, seed=3), q=2)
-        b = paradigm_score(naive_pair(images[0], 10, den, small_sched, seed=3), q=2)
-        c = paradigm_score(naive_pair(images[0], 10, den, small_sched, seed=4), q=2)
+        a = paradigm_score(naive_pair(images[0][None], 10, den, small_sched, seeds=[3]), q=2)[0]
+        b = paradigm_score(naive_pair(images[0][None], 10, den, small_sched, seeds=[3]), q=2)[0]
+        c = paradigm_score(naive_pair(images[0][None], 10, den, small_sched, seeds=[4]), q=2)[0]
         assert a == b
         assert a != c
 
@@ -113,21 +113,21 @@ class TestNaivePair:
 class TestPiaPair:
     def test_state_independent_denoiser_scores_zero(self, small_sched, images):
         den = make_const_denoiser(np.random.default_rng(2).standard_normal(images[0].shape))
-        pair = pia_pair(images[0], 15, den, small_sched)
-        assert paradigm_score(pair, q=2) == 0.0
+        pair = pia_pair(images[0][None], 15, den, small_sched)
+        assert paradigm_score(pair, q=2)[0] == 0.0
 
     def test_repeated_calls_bit_identical(self, small_sched, images):
         den = _affine_denoiser()
-        a = pia_pair(images[1], 15, den, small_sched)
-        b = pia_pair(images[1], 15, den, small_sched)
+        a = pia_pair(images[1][None], 15, den, small_sched)
+        b = pia_pair(images[1][None], 15, den, small_sched)
         assert np.array_equal(a.predicted, b.predicted)
         assert np.array_equal(a.target, b.target)
 
     def test_scale_identity(self, small_sched, images):
         t = 20
         den = _affine_denoiser()
-        pair = pia_pair(images[0], t, den, small_sched)
-        score = paradigm_score(pair, q=2)
+        pair = pia_pair(images[0][None], t, den, small_sched)
+        score = paradigm_score(pair, q=2)[0]
 
         from freqmia.diffusion import q_sample
         eps0 = den(images[0], 0)
@@ -147,18 +147,18 @@ def _affine_denoiser():
 class TestSecmiPair:
     def test_constant_stub_round_trips_exactly(self, small_sched, images):
         den = make_const_denoiser(np.random.default_rng(3).standard_normal(images[0].shape))
-        pair = secmi_pair(images[0], 10, den, small_sched, stride=5)
-        assert paradigm_score(pair, q=2) < 1e-12
+        pair = secmi_pair(images[0][None], 10, den, small_sched, stride=5)
+        assert paradigm_score(pair, q=2)[0] < 1e-12
 
     def test_zero_stub_round_trips_exactly(self, small_sched, images):
-        pair = secmi_pair(images[0], 10, zero_denoiser, small_sched, stride=5)
-        assert paradigm_score(pair, q=2) < 1e-12
+        pair = secmi_pair(images[0][None], 10, zero_denoiser, small_sched, stride=5)
+        assert paradigm_score(pair, q=2)[0] < 1e-12
 
     def test_unreachable_t_rejected(self, small_sched, images):
         with pytest.raises(ConfigurationError):
-            secmi_pair(images[0], 7, zero_denoiser, small_sched, stride=5)
+            secmi_pair(images[0][None], 7, zero_denoiser, small_sched, stride=5)
         with pytest.raises(ConfigurationError):
-            secmi_pair(images[0], 45, zero_denoiser, small_sched, stride=10)
+            secmi_pair(images[0][None], 45, zero_denoiser, small_sched, stride=10)
 
     def test_overfit_model_separates_members(self, small_sched):
         rng = np.random.default_rng(9)
@@ -166,9 +166,9 @@ class TestSecmiPair:
         holdout = rng.uniform(-1, 1, size=(4, 1, 8, 8))
         config = TrainingConfig(epochs=600, batch_size=4, learning_rate=0.01, seed=21)
         den, _ = train_toy_denoiser(members, config, small_sched, hidden_sizes=(96,), emb_dim=8)
-        member_errors = [paradigm_score(secmi_pair(x, 10, den, small_sched, stride=5), q=2)
+        member_errors = [paradigm_score(secmi_pair(x[None], 10, den, small_sched, stride=5), q=2)[0]
                          for x in members]
-        holdout_errors = [paradigm_score(secmi_pair(x, 10, den, small_sched, stride=5), q=2)
+        holdout_errors = [paradigm_score(secmi_pair(x[None], 10, den, small_sched, stride=5), q=2)[0]
                           for x in holdout]
         assert np.mean(member_errors) < np.mean(holdout_errors)
 
@@ -258,7 +258,7 @@ class TestRunAttack:
         calls = []
 
         def den(x, t):
-            # NaN from the first call for sample 2 of 4, inside one chunk
+            # NaN from call 2 * calls_per_sample + 1, inside the one chunk
             calls.append(t)
             eps = _affine_denoiser()(x, t)
             return np.full_like(eps, np.nan) if len(calls) == 2 * calls_per_sample + 1 else eps

@@ -474,6 +474,7 @@ class TestMalformedInputs:
         assert err.startswith("error: stage 'attack:naive' failed: the score of sample ")
         assert err.endswith(" overflows float64\n")
         assert not list((tmp_path / "out").rglob("scores_*.csv"))
+        assert not (tmp_path / "out" / "partial").exists()  # nothing was written to move
 
     @pytest.mark.parametrize("name, body", [
         ("metrics_naive_raw.json", '{"asr": 0.5, "auc": 0.5,'),

@@ -11,13 +11,16 @@ deletion or insertion, a truncation, or a splice of ``nan``, ``inf``,
 file. Only the weight file may also exit 2: weights that are finite but
 huge overflow in the attack stage. No weight-file case leaves a score
 file, under ``partial/`` or not, with a non-finite cell. The corpus is
-stdlib ``random`` with a fixed seed per file.
+stdlib ``random`` with a fixed seed per file. Each file's corpus runs with
+``RuntimeWarning`` raised, as under pytest, and ignored, as from the
+command line, so a fault that only warns cannot pass as an exit 2.
 """
 
 import csv
 import math
 import random
 import shutil
+import warnings
 
 import pytest
 
@@ -84,8 +87,10 @@ def base_run(tmp_path_factory):
     return base
 
 
+@pytest.mark.parametrize("warning_action", ["error", "ignore"])
 @pytest.mark.parametrize("target", TARGETS)
-def test_mutated_input_ends_in_a_named_error(target, base_run, tmp_path, monkeypatch, capsys):
+def test_mutated_input_ends_in_a_named_error(target, warning_action, base_run, tmp_path,
+                                             monkeypatch, capsys):
     original = (base_run / target).read_bytes()
     name = target.rsplit("/", 1)[-1]
     rng = random.Random(f"fuzz:{target}")
@@ -98,7 +103,9 @@ def test_mutated_input_ends_in_a_named_error(target, base_run, tmp_path, monkeyp
         monkeypatch.chdir(work)
         capsys.readouterr()
         try:
-            code = main(TARGETS[target])
+            with warnings.catch_warnings():
+                warnings.simplefilter(warning_action, RuntimeWarning)
+                code = main(TARGETS[target])
         except Exception as exc:  # what the CLI would print as a traceback
             failures.append((case, "raised", repr(exc)))
             continue

@@ -4,11 +4,12 @@ must give the same array bytes, floats, file bytes and errors. The
 Monte-Carlo verifier draws each class's sample covariance by Bartlett's
 decomposition; a serial loop over its Wishart entries pins its ratio bytes
 and report, and direct draws of every sample are its statistical oracle.
-Scoring norms and filters a stack of samples at a time, the denoiser
-builds its own input row and the DDIM chains check their timesteps once;
-the per-sample loop, the ``predict_batch``-based call and the fully
-checked DDIM step are kept here as the oracle, and every record must be
-equal."""
+Scoring builds, norms and filters a stack of samples at a time, the
+denoiser builds its own input row and the DDIM chains check their
+timesteps once; the per-sample attacks and loop, the
+``predict_batch``-based call and the fully checked DDIM step are kept
+here as the oracle, and every record must be equal, whatever the chunk
+size."""
 
 import csv
 import hashlib
@@ -26,6 +27,7 @@ import pytest
 from freqmia import attacks, diffusion, evaluation
 from freqmia.attacks import (
     AttackConfig,
+    ScorePair,
     ScoreRecord,
     read_score_csv,
     run_attack,
@@ -33,7 +35,7 @@ from freqmia.attacks import (
 )
 from freqmia.datasets import LabeledSample
 from freqmia.denoiser import ToyDenoiser
-from freqmia.diffusion import linear_schedule, predict_x0
+from freqmia.diffusion import linear_schedule, predict_x0, q_sample
 from freqmia.errors import ContractViolation, EvaluationError, IngestionError
 from freqmia.evaluation import (
     McVerifyReport,
@@ -47,6 +49,7 @@ from freqmia.evaluation import (
     proposition_mc_verify,
     write_roc_csv,
 )
+from freqmia.seeding import derive_rng, derive_seed
 from freqmia.spectral import FilterSpec, apply_filter, high_frequency_content
 
 COLUMNS = ["sample_id", "membership", "score_raw", "score_filtered", "hf_content"]
@@ -538,6 +541,27 @@ def checked_ddim_step(x, t_src, t_dst, denoiser, sched):
     return sched.sqrt_abar[t_dst] * x0_hat + sched.sqrt_one_minus_abar[t_dst] * eps_hat
 
 
+def row_pair(sample, config, denoiser, sched):
+    """One sample's (predicted, target) pair, built on its own: naive draws
+    its noise from the sample's seed, pia takes the prediction at t=0, and
+    secmi runs its DDIM round trip on the one image."""
+    x0 = np.asarray(sample.image, dtype=np.float64)
+    t, stride = config.t_attack, config.stride
+    if config.kind == "secmi":
+        x_tilde = diffusion.ddim_reverse_chain(x0, 0, t, denoiser, sched, stride)
+        up = diffusion.ddim_reverse_chain(x_tilde, t, t + stride, denoiser, sched, stride)
+        predicted = diffusion.ddim_denoise_chain(up, t + stride, t, denoiser, sched, stride)
+        return ScorePair(predicted=predicted, target=x_tilde)
+    if config.kind == "naive":
+        seed = derive_seed(config.seed, "attack-sample", sample.sample_id)
+        eps = derive_rng(seed, "naive-eps").standard_normal(x0.shape)
+    else:
+        eps = np.asarray(denoiser(x0, 0), dtype=np.float64)
+    x_t = q_sample(x0, t, eps, sched)
+    return ScorePair(predicted=predict_x0(x_t, denoiser(x_t, t), t, sched),
+                     target=predict_x0(x_t, eps, t, sched))
+
+
 def row_run_attack(samples, config, denoiser, sched, monkeypatch, hf_boundary_radius=2.0):
     """Score one sample at a time, each DDIM step checking its timesteps."""
     config.validate_for_schedule(sched)
@@ -545,7 +569,7 @@ def row_run_attack(samples, config, denoiser, sched, monkeypatch, hf_boundary_ra
     with monkeypatch.context() as patch:
         patch.setattr(diffusion, "_ddim_step", checked_ddim_step)
         for sample in samples:
-            pair = attacks._build_pair(sample, config, denoiser, sched)
+            pair = row_pair(sample, config, denoiser, sched)
             raw = row_paradigm_score(pair, config.q, None)
             filtered = row_paradigm_score(pair, config.q, config.filter)
             hf = high_frequency_content(sample.image, hf_boundary_radius)
@@ -587,6 +611,19 @@ class TestStackedScoring:
             want = row_run_attack(samples[:n], config, RowDenoiser(den), score_sched, monkeypatch)
             assert _record_bits(got) == _record_bits(want), n
 
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("kind", ["naive", "pia", "secmi"])
+    def test_records_do_not_depend_on_the_chunk_size(self, monkeypatch, score_sched, q, kind):
+        den = ToyDenoiser.initialize((1, 6, 6), (16,), 8, SCORE_T, seed=5)
+        config = AttackConfig(kind=kind, t_attack=10, stride=5, q=q, seed=3,
+                              filter=FilterSpec(s=0.2, r_t=1.5))
+        samples = score_samples((1, 6, 6), 131)
+        got = {}
+        for chunk in (1, 7, 64, 1000):
+            monkeypatch.setattr(attacks, "_SCORE_CHUNK", chunk)
+            got[chunk] = _record_bits(run_attack(samples, config, den, score_sched))
+        assert all(records == got[64] for records in got.values())
+
     @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 4, 5), (7, 6)], ids=["1ch", "3ch", "2d"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_call_matches_one_row_predict_batch(self, shape, dtype):
@@ -606,7 +643,9 @@ class TestStackedScoring:
         calls = []
 
         def denoiser(x, t):
-            # NaN from the first call for sample 70, inside the second chunk
+            # NaN from call 70 * calls_per_sample + 1: the first call for
+            # sample 70 one sample at a time, a call inside the second chunk
+            # when a chunk steps in lockstep
             calls.append(t)
             eps = den(x, t)
             return np.full_like(eps, np.nan) if len(calls) == 70 * calls_per_sample + 1 else eps
