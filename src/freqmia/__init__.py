@@ -74,7 +74,7 @@ from .evaluation import (
     sigma_ratio,
     tpr_at_fpr,
 )
-from .experiment import ExperimentConfig, default_config, run_experiment
+from .experiment import ExperimentConfig, run_experiment
 from .seeding import derive_rng, derive_seed
 from .spectral import (
     FilterSpec,

@@ -135,6 +135,14 @@ def paradigm_score(pair: ScorePair, q: int = 2, filt: Optional[FilterSpec] = Non
     return np.sqrt(np.sum(diff**2, axis=axes))
 
 
+def _image_stack(x0) -> np.ndarray:
+    """``x0`` as a float64 stack of images, which must hold at least one."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.ndim == 0 or len(x0) == 0:
+        raise ContractViolation(f"need a stack of at least one image, got shape {x0.shape}")
+    return x0
+
+
 def _per_image(denoiser):
     """The denoiser over a stack of images: one call per image, stacked."""
     return lambda x, t: np.stack([denoiser(image, t) for image in x])
@@ -145,7 +153,7 @@ def naive_pair(x0, t: int, denoiser, sched: NoiseSchedule, seeds) -> ScorePair:
     images with one seed each. An image's seed fixes its drawn noise, so
     identical seeds give identical scores. The target equals x0 up to
     round-off."""
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = _image_stack(x0)
     eps = np.stack([derive_rng(seed, "naive-eps").standard_normal(x0.shape[1:]) for seed in seeds])
     return _noise_error_pair(x0, t, eps, _per_image(denoiser), sched)
 
@@ -153,7 +161,7 @@ def naive_pair(x0, t: int, denoiser, sched: NoiseSchedule, seeds) -> ScorePair:
 def pia_pair(x0, t: int, denoiser, sched: NoiseSchedule) -> ScorePair:
     """Proximal-initialization variant over a stack of images: the noise is
     the model's own prediction at timestep 0, so no randomness is involved."""
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = _image_stack(x0)
     denoiser = _per_image(denoiser)
     return _noise_error_pair(x0, t, denoiser(x0, 0), denoiser, sched)
 
@@ -172,6 +180,7 @@ def secmi_pair(x0, t: int, denoiser, sched: NoiseSchedule, stride: int) -> Score
     images up to t in lockstep, then apply one reverse macro-step followed
     by one denoise macro-step and compare against the inverted state."""
     _check_secmi_ladder(t, stride, sched.T)
+    x0 = _image_stack(x0)
     denoiser = _per_image(denoiser)
     x_tilde = ddim_reverse_chain(x0, 0, t, denoiser, sched, stride)
     up = ddim_reverse_chain(x_tilde, t, t + stride, denoiser, sched, stride)

@@ -35,7 +35,6 @@ from .experiment import (
     Pipeline,
     _read_final_train_loss,
     attack_stage,
-    default_config,
     evaluate_stage,
     load_inputs,
     report_stage,
@@ -45,7 +44,11 @@ from .experiment import (
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that exits 1 (not 2) on usage errors."""
+    """argparse parser that exits 1 (not 2) on usage errors and reads no
+    flag as an abbreviation of another (``--s`` is not ``--seed``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -58,28 +61,13 @@ def _add_common(parser):
     parser.add_argument("--out", help="override the output directory")
 
 
-def _add_attack_overrides(parser):
-    parser.add_argument("--s", type=float, help="filter attenuation factor")
-    parser.add_argument("--rt", type=float, help="filter threshold radius")
-    parser.add_argument("--q", type=int, choices=(1, 2), help="norm order")
-    parser.add_argument("--t-attack", type=int, help="attack timestep for every attack")
-
-
 def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_file(args.config) if args.config else default_config()
+    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-    if getattr(args, "out", None):
+    if args.out:
         updates["out_dir"] = args.out
-    if getattr(args, "s", None) is not None:
-        updates["filter_s"] = args.s
-    if getattr(args, "rt", None) is not None:
-        updates["filter_rt"] = args.rt
-    if getattr(args, "q", None) is not None:
-        updates["q"] = args.q
-    if getattr(args, "t_attack", None) is not None:
-        updates.update(naive_t=args.t_attack, pia_t=args.t_attack, secmi_t=args.t_attack)
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -194,7 +182,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("attack", help="score a dataset against a model")
     _add_common(p)
-    _add_attack_overrides(p)
     p.add_argument("--model", help="weights file (default <out>/model.fmia)")
     p.set_defaults(func=_cmd_attack)
 
@@ -214,7 +201,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("run", help="full pipeline")
     _add_common(p)
-    _add_attack_overrides(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="render metric JSONs as tables")

@@ -172,6 +172,8 @@ def read_pgm(path) -> np.ndarray:
             width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
         except ValueError as exc:
             raise IngestionError("malformed PGM header") from exc
+        if width < 1 or height < 1:
+            raise IngestionError(f"PGM width and height must be >= 1, got {width}x{height}")
         if not 0 < maxval <= 255:
             raise IngestionError(f"only 8-bit PGM supported, maxval {maxval}")
         pos += 1  # single whitespace separating header from raster

@@ -124,10 +124,11 @@ class ToyDenoiser:
     """Tanh MLP over (flattened image, timestep embedding) pairs.
 
     Satisfies the denoiser contract: calling an instance with an image of
-    shape ``image_shape`` and an integer timestep returns a same-shaped
-    noise prediction. Evaluation is read-only and thread-safe. ``weights``
-    and ``biases`` are views into the one parameter vector ``params``, which
-    is float64, or float32 when given float32 (training's working copy).
+    shape ``image_shape``, which is (C, H, W) as a weight file stores it,
+    and an integer timestep returns a same-shaped noise prediction.
+    Evaluation is read-only and thread-safe. ``weights`` and ``biases`` are
+    views into the one parameter vector ``params``, which is float64, or
+    float32 when given float32 (training's working copy).
     """
 
     def __init__(self, params, layer_sizes, image_shape, emb_dim: int, T: int):
@@ -138,6 +139,8 @@ class ToyDenoiser:
         self.image_shape = tuple(int(d) for d in image_shape)
         self.emb_dim = int(emb_dim)
         self.T = int(T)
+        if len(self.image_shape) != 3:
+            raise ConfigurationError(f"image shape must be (C, H, W), got {self.image_shape}")
         _check_layer_widths(self.layer_sizes)
         _check_embedding_dim(self.emb_dim)
         if len(self.layer_sizes) < 2 or self.params.shape != (_param_count(self.layer_sizes),):
@@ -302,10 +305,8 @@ def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
 def save_denoiser(den: ToyDenoiser, path) -> None:
     """Write the model in the flat FMIA v1 binary format."""
     sizes = den.layer_sizes
-    c, h, w = (den.image_shape if len(den.image_shape) == 3
-               else (1, *den.image_shape))
     header = _MAGIC + struct.pack(
-        "<7I", _FORMAT_VERSION, den.T, c, h, w, den.emb_dim, len(sizes)
+        "<7I", _FORMAT_VERSION, den.T, *den.image_shape, den.emb_dim, len(sizes)
     ) + struct.pack(f"<{len(sizes)}I", *sizes)
     with open(path, "wb") as fh:
         fh.write(header + den.params.astype("<f8").tobytes())

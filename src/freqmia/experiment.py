@@ -61,7 +61,6 @@ from .spectral import FilterSpec, _check_boundary_radius
 __all__ = [
     "ExperimentConfig",
     "Pipeline",
-    "default_config",
     "load_inputs",
     "train_stage",
     "attack_stage",
@@ -144,7 +143,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # a bad dataset or training value, layer width, embedding dim, radius, attack
-        # kind, q, stride, filter, schedule or attack timestep fails before any stage
+        # list, attack kind, q, stride, filter, schedule or attack timestep fails
+        # before any stage
+        if not self.attack_kinds:
+            raise ConfigurationError("experiment needs at least one attack")
+        for i, kind in enumerate(self.attack_kinds):
+            if kind in self.attack_kinds[:i]:
+                raise ConfigurationError(f"attack {kind!r} is listed more than once")
         self.dataset_spec()
         self.training_config()
         _check_layer_widths(self.hidden_sizes)
@@ -242,13 +247,6 @@ class ExperimentConfig:
             return cls(**values)
 
 
-def default_config(seed: int = 0, out_dir: str = "out") -> ExperimentConfig:
-    """The default desk-scale experiment: 16x16 sharpened fields, 200+200
-    samples, overfit training, all three attacks with the (s=0.2, r_t=5)
-    filter."""
-    return ExperimentConfig(seed=seed, out_dir=out_dir)
-
-
 def evaluate_records(records) -> dict:
     """Metrics for one attack's raw and filtered columns, with the
     failed-sample frequency analysis at each column's ASR-optimal threshold."""
@@ -297,8 +295,6 @@ class Pipeline:
     """
 
     def __init__(self, config: ExperimentConfig):
-        if not config.attack_kinds:
-            raise ConfigurationError("experiment needs at least one attack")
         self.config = config
         self.out = Path(config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
@@ -419,22 +415,14 @@ def report_stage(pipe: Pipeline, evaluated: dict, final_train_loss) -> dict:
     return report
 
 
-def run_experiment(config: ExperimentConfig, denoiser_factory=None) -> dict:
-    """Run the full pipeline and return the combined report dictionary.
-
-    Each attack is evaluated right after it scores. ``denoiser_factory(
-    member_images, config, sched)`` replaces training when given; it exists
-    so tests can inject stub denoisers. No model file or loss trace is
-    written in that case, and the report's ``final_train_loss`` is None.
-    """
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Run the full pipeline and return the combined report dictionary:
+    :func:`train_stage`, then :func:`attack_stage` and
+    :func:`evaluate_stage` for each attack in turn, then
+    :func:`report_stage`."""
     samples, sched = load_inputs(config)
     pipe = Pipeline(config)
-    trace = []
-    if denoiser_factory is None:
-        denoiser, trace = train_stage(pipe, samples, sched)
-    else:
-        with pipe.stage("train"):
-            denoiser = denoiser_factory(_members(samples), config, sched)
+    denoiser, trace = train_stage(pipe, samples, sched)
     evaluated = {}
     for attack_cfg in config.attack_configs():
         records = attack_stage(pipe, attack_cfg, samples, denoiser, sched)

@@ -11,7 +11,6 @@ change, and name the change in CHANGES.md:
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -23,7 +22,7 @@ import numpy as np
 
 from freqmia.attacks import read_score_csv
 from freqmia.cli import main
-from freqmia.experiment import default_config
+from freqmia.experiment import ExperimentConfig
 
 EXPECTED = Path(__file__).with_name("golden_run.json")
 OVERRIDES = {"n_member": 50, "n_holdout": 50, "epochs": 300}
@@ -33,7 +32,7 @@ def run(work: Path) -> dict:
     """Run the golden config under ``work``; its outputs in the form of the
     expected file."""
     out = work / "out"
-    dataclasses.replace(default_config(out_dir=str(out)), **OVERRIDES).to_file(work / "golden.ini")
+    ExperimentConfig(out_dir=str(out), **OVERRIDES).to_file(work / "golden.ini")
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["run", "--config", str(work / "golden.ini")])
     if code != 0:

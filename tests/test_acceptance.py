@@ -6,7 +6,6 @@ share one session-scoped bundle of default experiment runs: three seeded
 runs, an untrained control, and a byte-determinism repeat of seed 0.
 """
 
-import dataclasses
 import math
 import time
 
@@ -25,7 +24,7 @@ from freqmia.evaluation import (
     proposition_mc_verify,
     tpr_at_fpr,
 )
-from freqmia.experiment import default_config, run_experiment
+from freqmia.experiment import ExperimentConfig, run_experiment
 from freqmia.seeding import derive_rng, derive_seed
 from freqmia.spectral import forward_dft, inverse_dft
 
@@ -220,12 +219,11 @@ def default_runs(tmp_path_factory):
     start = time.time()
     reports = {}
     for seed in SEEDS:
-        config = default_config(seed=seed, out_dir=str(root / f"seed{seed}"))
+        config = ExperimentConfig(seed=seed, out_dir=str(root / f"seed{seed}"))
         reports[seed] = run_experiment(config)
-    control_config = dataclasses.replace(
-        default_config(seed=SEEDS[0], out_dir=str(root / "control")), epochs=0)
+    control_config = ExperimentConfig(seed=SEEDS[0], out_dir=str(root / "control"), epochs=0)
     control = run_experiment(control_config)
-    repeat_config = default_config(seed=SEEDS[0], out_dir=str(root / "repeat"))
+    repeat_config = ExperimentConfig(seed=SEEDS[0], out_dir=str(root / "repeat"))
     run_experiment(repeat_config)
     elapsed = time.time() - start
     return {"root": root, "reports": reports, "control": control, "elapsed": elapsed}

@@ -228,6 +228,15 @@ class TestRunAttack:
         with pytest.raises(ConfigurationError):
             run_attack([], config, zero_denoiser, small_sched)
 
+    @pytest.mark.parametrize("pair", [
+        lambda x, sched: naive_pair(x, 10, zero_denoiser, sched, []),
+        lambda x, sched: pia_pair(x, 10, zero_denoiser, sched),
+        lambda x, sched: secmi_pair(x, 10, zero_denoiser, sched, 5),
+    ], ids=["naive", "pia", "secmi"])
+    def test_empty_image_stack_rejected(self, small_sched, pair):
+        with pytest.raises(ContractViolation, match=r"at least one image, got shape \(0, 1, 4, 4\)"):
+            pair(np.zeros((0, 1, 4, 4)), small_sched)
+
     def test_config_validation(self, small_sched):
         with pytest.raises(ConfigurationError, match="unknown attack kind"):
             AttackConfig(kind="unknown", t_attack=10, filter=FILTER)

@@ -59,6 +59,19 @@ class TestRunCommand:
         assert excinfo.value.code == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--s", "0.1"], ["--s", "1"], ["--rt", "1.0"],
+                                       ["--q", "1"]])
+    def test_experiment_parameter_flag_exits_1_with_usage(self, tmp_path, config_path, capsys,
+                                                          flags):
+        # experiment parameters come from the config file only, and no
+        # flag is read as an abbreviation of another
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--config", str(config_path), "--out", str(out), *flags])
+        assert excinfo.value.code == 1
+        assert "usage" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_failure_exits_2(self, tmp_path, config_path, capsys, monkeypatch):
         # a model that predicts NaN on one of secmi's rungs fails mid-experiment
         nan_at_secmi_rung(monkeypatch)
@@ -68,9 +81,10 @@ class TestRunCommand:
     def test_filter_overrides_change_outputs(self, tmp_path, config_path):
         out_a = tmp_path / "fa"
         out_b = tmp_path / "fb"
+        filtered = tmp_path / "filter.ini"
+        tiny_config(tmp_path / "out", filter_s=0.0, filter_rt=1.0).to_file(filtered)
         assert main(["run", "--config", str(config_path), "--out", str(out_a)]) == 0
-        assert main(["run", "--config", str(config_path), "--out", str(out_b),
-                     "--s", "0.0", "--rt", "1.0"]) == 0
+        assert main(["run", "--config", str(filtered), "--out", str(out_b)]) == 0
         a = (out_a / "scores_naive.csv").read_text()
         b = (out_b / "scores_naive.csv").read_text()
         assert a != b
@@ -180,6 +194,19 @@ class TestMalformedInputs:
         assert main(["train", "--config", str(tmp_path / "pgm.ini")]) == 1
         assert "bad.pgm" in capsys.readouterr().err
 
+    def test_zero_size_pgm_exits_1_before_any_stage(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("z0.pgm", "z1.pgm"):
+            (data / name).write_bytes(b"P5\n0 0\n255\n")
+        (data / "manifest.csv").write_text("z0.pgm,1\nz1.pgm,0\n")
+        config = tiny_config(tmp_path / "out", dataset_kind="pgm_dir", dataset_path=str(data))
+        config.to_file(tmp_path / "pgm.ini")
+        assert main(["run", "--config", str(tmp_path / "pgm.ini")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data / 'z0.pgm'}: PGM width and height must be >= 1, got 0x0\n")
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_manifest_entry_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -216,21 +243,41 @@ class TestMalformedInputs:
         assert "scores_naive.csv, line 3: score_raw: missing, the row has 2 cell(s)" in err
         assert not list(out.glob("metrics_*.json"))
 
-    @pytest.mark.parametrize("t_attack, message", [
-        ("5000", "attack naive: t_attack: timesteps must be integers in [0, 50), got 5000"),
-        ("7", "attack secmi: secmi needs t > 0, t % stride == 0"),
+    @pytest.mark.parametrize("key, value, message", [
+        ("naive_t", "5000", "attack naive: t_attack: timesteps must be integers in [0, 50), "
+                            "got 5000"),
+        ("secmi_t", "7", "attack secmi: secmi needs t > 0, t % stride == 0"),
     ], ids=["beyond_T", "off_secmi_ladder"])
     def test_invalid_attack_timestep_exits_1_before_any_stage(self, tmp_path, config_path,
-                                                              capsys, t_attack, message):
+                                                              capsys, key, value, message):
         out = tmp_path / "out"
-        assert main(["run", "--config", str(config_path), "--t-attack", t_attack]) == 1
+        text = config_path.read_text()
+        assert f"{key} = 10\n" in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(f"{key} = 10\n", f"{key} = {value}\n"))
+        assert main(["run", "--config", str(bad)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
         assert main(["train", "--config", str(config_path)]) == 0
         capsys.readouterr()
-        assert main(["attack", "--config", str(config_path), "--t-attack", t_attack]) == 1
+        assert main(["attack", "--config", str(bad)]) == 1
         assert message in capsys.readouterr().err
         assert not list(out.glob("scores_*.csv"))
+
+    @pytest.mark.parametrize("kinds, message", [
+        ("", "experiment needs at least one attack"),
+        ("pia,pia", "attack 'pia' is listed more than once"),
+    ], ids=["empty", "repeated"])
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    def test_empty_or_repeated_attack_list_exits_1_before_any_stage(self, tmp_path, config_path,
+                                                                    capsys, kinds, message,
+                                                                    command):
+        text = config_path.read_text()
+        assert "kinds = naive,pia,secmi\n" in text
+        config_path.write_text(text.replace("kinds = naive,pia,secmi\n", f"kinds = {kinds}\n"))
+        assert main([command, "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_model_parameter_exits_1(self, tmp_path, config_path, capsys):
         assert main(["train", "--config", str(config_path)]) == 0

@@ -139,6 +139,13 @@ class TestPgmRoundTrip:
         with pytest.raises(IngestionError, match="maxval"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("size", [b"0 0", b"0 2", b"2 0"])
+    def test_zero_width_or_height_rejected(self, tmp_path, size):
+        path = tmp_path / "hollow.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n")
+        with pytest.raises(IngestionError, match="hollow.pgm: PGM width and height must be >= 1"):
+            read_pgm(path)
+
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))

@@ -224,6 +224,12 @@ class TestToyDenoiser:
         with pytest.raises(ConfigurationError, match=r"widths must be >= 1, got \[20, 0, 16\]"):
             ToyDenoiser(np.zeros(16), [20, 0, 16], (1, 4, 4), 4, 50)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 1, 4, 4)], ids=["2d", "4d"])
+    def test_image_shape_other_than_chw_rejected(self, shape):
+        # a weight file stores (C, H, W), so no other shape can round-trip
+        with pytest.raises(ConfigurationError, match=r"image shape must be \(C, H, W\)"):
+            ToyDenoiser.initialize(shape, (10,), 4, 50, seed=0)
+
     @pytest.mark.parametrize("t", [-1, 50, 2.5, 3.0, True])
     def test_timestep_outside_contract_rejected(self, sched, t):
         den = ToyDenoiser.initialize((1, 4, 4), (10,), 4, 50, seed=0)

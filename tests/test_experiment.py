@@ -10,7 +10,8 @@ from freqmia.denoiser import ToyDenoiser, train_toy_denoiser
 from freqmia.diffusion import linear_schedule
 from freqmia.errors import ConfigurationError, ExperimentError
 from freqmia.evaluation import auc, compute_roc
-from freqmia.experiment import ExperimentConfig, default_config, run_experiment
+from freqmia.experiment import (ExperimentConfig, Pipeline, attack_stage, evaluate_stage,
+                                load_inputs, report_stage, run_experiment)
 from freqmia.attacks import run_attack
 from freqmia.spectral import FilterSpec
 
@@ -150,29 +151,29 @@ class TestRunExperiment:
 class TestInjectedDenoiser:
     def test_perfect_stub_gives_asr_one(self, tmp_path):
         # a stub that knows each member's noised state and drawn noise
-        # scores members at exactly zero, so any tau >= 0 separates
+        # scores members at exactly zero, so any tau >= 0 separates; it
+        # replaces training in the stages run_experiment composes
         config = tiny_config(tmp_path / "out", seed=4, attack_kinds=("naive",))
         from freqmia.diffusion import q_sample
         from freqmia.seeding import derive_rng, derive_seed
 
-        def factory(members, cfg, sched):
-            attack_cfg = cfg.attack_configs()[0]
-            samples = generate_dataset(cfg.dataset_spec())
-            lookup = {}
-            for sample in samples:
-                if sample.membership != 1:
-                    continue
-                seed = derive_seed(attack_cfg.seed, "attack-sample", sample.sample_id)
-                eps = derive_rng(seed, "naive-eps").standard_normal(sample.image.shape)
-                x_t = q_sample(sample.image, attack_cfg.t_attack, eps, sched)
-                lookup[x_t.tobytes()] = eps
+        samples, sched = load_inputs(config)
+        attack_cfg, = config.attack_configs()
+        lookup = {}
+        for sample in samples:
+            if sample.membership != 1:
+                continue
+            seed = derive_seed(attack_cfg.seed, "attack-sample", sample.sample_id)
+            eps = derive_rng(seed, "naive-eps").standard_normal(sample.image.shape)
+            x_t = q_sample(sample.image, attack_cfg.t_attack, eps, sched)
+            lookup[x_t.tobytes()] = eps
 
-            def stub(x, t):
-                return lookup.get(x.tobytes(), np.zeros_like(x)).copy()
+        def stub(x, t):
+            return lookup.get(x.tobytes(), np.zeros_like(x)).copy()
 
-            return stub
-
-        report = run_experiment(config, denoiser_factory=factory)
+        pipe = Pipeline(config)
+        records = attack_stage(pipe, attack_cfg, samples, stub, sched)
+        report = report_stage(pipe, {"naive": evaluate_stage(pipe, "naive", records)}, None)
         naive = report["attacks"]["naive"]["raw"]
         assert naive["asr"] == 1.0
         assert naive["auc"] == 1.0
@@ -257,8 +258,8 @@ class TestConfigFile:
         config.to_file(path)
         assert ExperimentConfig.from_file(path) == config
 
-    def test_default_config_round_trips(self, tmp_path):
-        config = default_config(seed=11, out_dir=str(tmp_path / "o"))
+    def test_defaults_round_trip(self, tmp_path):
+        config = ExperimentConfig(seed=11, out_dir=str(tmp_path / "o"))
         path = tmp_path / "c.ini"
         config.to_file(path)
         assert ExperimentConfig.from_file(path) == config
@@ -267,7 +268,7 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match="nope.ini"):
             ExperimentConfig.from_file(tmp_path / "nope.ini")
 
-    def test_default_config_writes_the_shipped_file(self, tmp_path):
+    def test_defaults_write_the_shipped_file(self, tmp_path):
         path = tmp_path / "default.ini"
         ExperimentConfig().to_file(path)
         shipped = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
@@ -308,7 +309,16 @@ class TestConfigFile:
         config = ExperimentConfig.from_file(path)
         assert config.seed == 4
         assert config.epochs == 7
-        assert config.dataset_kind == default_config().dataset_kind
+        assert config.dataset_kind == ExperimentConfig().dataset_kind
+
+    @pytest.mark.parametrize("kinds, message", [
+        ((), "experiment needs at least one attack"),
+        (("pia", "pia"), "attack 'pia' is listed more than once"),
+        (("naive", "secmi", "naive"), "attack 'naive' is listed more than once"),
+    ], ids=["empty", "repeated", "repeated_later"])
+    def test_empty_or_repeated_attack_list_rejected_when_made(self, kinds, message):
+        with pytest.raises(ConfigurationError, match=message):
+            tiny_config("x", attack_kinds=kinds)
 
     @pytest.mark.parametrize("kinds", [("pai",), ("naive", "pai"), ("naive", "pia", "secmi", "")])
     def test_unknown_attack_kind_rejected_when_made(self, kinds):
