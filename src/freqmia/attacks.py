@@ -275,7 +275,7 @@ def _convert(cells, name: str, convert, check: int, failures: list, finite: bool
 def _line_number(path, row: int) -> int:
     """The line on which data row ``row`` (0-based, blank lines skipped)
     of a CSV file ends, as ``csv.reader`` counts lines."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         next(islice(filter(None, reader), row, None))
@@ -295,7 +295,7 @@ def read_score_csv(path) -> list[ScoreRecord]:
     their column is parsed, before the records are built.
     """
     with reading(path):
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             rows = list(filter(None, reader))  # a blank line reads as []

@@ -163,7 +163,7 @@ def _cmd_report(args) -> int:
     comparison = out / "comparison.csv"
     if comparison.is_file():
         print()
-        print(comparison.read_text(encoding="utf-8", errors="replace").rstrip("\n"))
+        print(comparison.read_text(encoding="utf-8-sig", errors="replace").rstrip("\n"))
     return 0
 
 

@@ -213,7 +213,7 @@ def ingest_pgm_dir(path) -> list[LabeledSample]:
     samples = []
     listed = {}  # file name -> manifest line
     with reading(manifest):
-        for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), start=1):
+        for lineno, line in enumerate(manifest.read_text(encoding="utf-8-sig").splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue

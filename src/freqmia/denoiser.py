@@ -66,6 +66,8 @@ class TrainingConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.learning_rate >= 0.0:
             raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not np.isfinite(self.learning_rate):
+            raise ConfigurationError(f"learning_rate must be finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
 

@@ -496,7 +496,7 @@ def _read_report_metrics(path):
     with reading(path):
         if path.stem.count("_") < 2:
             raise IngestionError("not named metrics_<attack>_<variant>.json")
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 metrics = json.load(fh)
             except json.JSONDecodeError as exc:

@@ -28,9 +28,12 @@ writes the same bytes.
 
 Inputs (config, dataset, schedule, model file, score CSVs, loss trace) are
 loaded and checked before any stage, so a bad input raises its own error.
-If a stage fails, whatever the pipeline already wrote moves under
-``<out>/partial/`` and an :class:`ExperimentError` naming the stage is
-raised.
+Text inputs may start with a UTF-8 byte-order mark. A stage writes each
+file to the path :meth:`Pipeline.path` hands it, and ``<out>`` is made with
+the first such path, so a command that fails before its first write makes
+no ``<out>``. If a stage fails, every file the pipeline handed out so far,
+a half-written one included, moves under ``<out>/partial/`` and an
+:class:`ExperimentError` naming the stage is raised.
 """
 
 import configparser
@@ -223,7 +226,7 @@ class ExperimentConfig:
             if not path.is_file():
                 raise ConfigurationError("config file not found")
             parser = configparser.ConfigParser(interpolation=None)
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 try:
                     parser.read_file(fh)
                 except configparser.Error as exc:
@@ -285,25 +288,29 @@ def _write_comparison(path, evaluated) -> None:
 
 
 class Pipeline:
-    """The output directory of one command and the files its stages wrote.
+    """The output directory of one command and the files its stages write.
 
-    Each stage runs inside :meth:`stage`. When one fails, every file this
-    pipeline wrote moves under ``<out>/partial/`` (made only for such a
-    file) and an :class:`ExperimentError` names the stage. Building one
-    makes the output directory, so commands build it once their inputs
-    have passed.
+    A stage writes each file to the path :meth:`path` hands out, which
+    makes the output directory with the first file. Each stage runs inside
+    :meth:`stage`. When one fails, every file this pipeline handed out
+    moves under ``<out>/partial/`` (made only for such a file): a
+    half-written one, or an older run's file of the same name that the
+    stage did not get to replace. An :class:`ExperimentError` then names
+    the stage.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.out = Path(config.out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
-        self.written: list[Path] = []
+        self.paths: list[Path] = []
 
-    def emit(self, name: str, writer) -> None:
+    def path(self, name: str) -> Path:
+        """``<out>/<name>``, recorded before it is written; makes ``<out>``
+        if needed."""
+        self.out.mkdir(parents=True, exist_ok=True)
         target = self.out / name
-        writer(target)
-        self.written.append(target)
+        self.paths.append(target)
+        return target
 
     @contextmanager
     def stage(self, name: str):
@@ -311,7 +318,7 @@ class Pipeline:
             yield
         except Exception as exc:
             partial = self.out / "partial"
-            for produced in self.written:
+            for produced in self.paths:
                 if produced.exists():
                     partial.mkdir(exist_ok=True)
                     shutil.move(str(produced), str(partial / produced.name))
@@ -346,7 +353,7 @@ def _read_final_train_loss(out_dir):
         return None
     loss = None
     with reading(path):
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
         for lineno, line in enumerate(lines[1:], start=2):  # line 1 is the header
             try:
                 epoch, text = line.split(",")
@@ -368,8 +375,8 @@ def train_stage(pipe: Pipeline, samples, sched):
             _members(samples), config.training_config(), sched,
             hidden_sizes=config.hidden_sizes, emb_dim=config.embedding_dim,
         )
-        pipe.emit("model.fmia", lambda p: save_denoiser(denoiser, p))
-        pipe.emit("train_loss.csv", lambda p: _write_loss_trace(p, trace))
+        save_denoiser(denoiser, pipe.path("model.fmia"))
+        _write_loss_trace(pipe.path("train_loss.csv"), trace)
     return denoiser, trace
 
 
@@ -378,7 +385,7 @@ def attack_stage(pipe: Pipeline, attack_cfg: AttackConfig, samples, denoiser, sc
     with pipe.stage(f"attack:{attack_cfg.kind}"):
         records = run_attack(samples, attack_cfg, denoiser, sched,
                              hf_boundary_radius=pipe.config.boundary_radius)
-        pipe.emit(f"scores_{attack_cfg.kind}.csv", lambda p: write_score_csv(records, p))
+        write_score_csv(records, pipe.path(f"scores_{attack_cfg.kind}.csv"))
     return records
 
 
@@ -387,10 +394,8 @@ def evaluate_stage(pipe: Pipeline, kind: str, records) -> dict:
     with pipe.stage(f"eval:{kind}"):
         evaluated = evaluate_records(records)
         for variant, data in evaluated.items():
-            pipe.emit(f"metrics_{kind}_{variant}.json",
-                      lambda p, m=data["metrics"]: write_metrics_json(m, p))
-            pipe.emit(f"roc_{kind}_{variant}.csv",
-                      lambda p, c=data["curve"]: write_roc_csv(c, p))
+            write_metrics_json(data["metrics"], pipe.path(f"metrics_{kind}_{variant}.json"))
+            write_roc_csv(data["curve"], pipe.path(f"roc_{kind}_{variant}.csv"))
     return evaluated
 
 
@@ -409,9 +414,9 @@ def report_stage(pipe: Pipeline, evaluated: dict, final_train_loss) -> dict:
                 for variant, data in variants.items()
             }
             failed_hf[kind] = {variant: data["failed_hf"] for variant, data in variants.items()}
-        pipe.emit("failed_hf.json", lambda p: _write_json(failed_hf, p))
-        pipe.emit("comparison.csv", lambda p: _write_comparison(p, evaluated))
-        pipe.emit("experiment.json", lambda p: _write_json(report, p))
+        _write_json(failed_hf, pipe.path("failed_hf.json"))
+        _write_comparison(pipe.path("comparison.csv"), evaluated)
+        _write_json(report, pipe.path("experiment.json"))
     return report
 
 

@@ -10,8 +10,12 @@ from pathlib import Path
 import pytest
 
 import freqmia
+from freqmia.attacks import read_score_csv
 from freqmia.cli import main
+from freqmia.datasets import ingest_pgm_dir
 from freqmia.denoiser import load_denoiser, save_denoiser
+from freqmia.evaluation import _read_report_metrics
+from freqmia.experiment import ExperimentConfig, _read_final_train_loss
 from test_experiment import nan_at_secmi_rung, tiny_config
 
 
@@ -376,6 +380,7 @@ class TestMalformedInputs:
         ("training", "batch_size", "0", "batch_size must be >= 1"),
         ("training", "momentum", "1.0", "momentum must be in [0, 1)"),
         ("training", "learning_rate", "nan", "learning_rate must be >= 0"),
+        ("training", "learning_rate", "inf", "learning_rate must be finite, got inf"),
         ("training", "embedding_dim", "3", "embedding dim must be even and >= 0, got 3"),
         ("training", "embedding_dim", "-2", "embedding dim must be even and >= 0, got -2"),
         ("training", "hidden_sizes", "8,0", "layer widths must be >= 1, got [8, 0]"),
@@ -390,8 +395,8 @@ class TestMalformedInputs:
             parser.write(fh)
         assert main(["run", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
-        assert "config.ini" in err and message in err
-        assert not (tmp_path / "out" / "model.fmia").exists()
+        assert err.startswith(f"error: {config_path}: ") and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_attack_kind_exits_1_before_training(self, tmp_path, config_path, capsys):
         text = config_path.read_text()
@@ -537,6 +542,29 @@ class TestMalformedInputs:
         assert main(["report", "--out", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert name in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("name, text, read", [
+    ("c.ini", "[training]\nepochs = 7\n", ExperimentConfig.from_file),
+    ("scores_naive.csv", "sample_id,membership,score_raw,score_filtered,hf_content\n"
+                         "a,1,0.5,0.4,0.25\nb,0,0.7,0.6,0.25\n", read_score_csv),
+    ("manifest.csv", "s0.pgm,1\ns1.pgm,0\n",
+     lambda p: [(s.sample_id, s.membership, s.image.tobytes())
+                for s in ingest_pgm_dir(p.parent)]),
+    ("metrics_naive_raw.json",
+     '{"asr": 0.5, "auc": 0.5, "tpr_at_1pct_fpr": 0.0, "sigma_ratio": null}',
+     _read_report_metrics),
+    ("train_loss.csv", "epoch,loss\n0,0.5\n1,0.25\n",
+     lambda p: _read_final_train_loss(p.parent)),
+], ids=["config", "score_csv", "manifest", "metrics_json", "loss_trace"])
+def test_text_input_with_byte_order_mark_reads_as_without(tmp_path, name, text, read):
+    # an editor or spreadsheet may save UTF-8 text with a leading BOM
+    for folder, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / folder).mkdir()
+        for i in range(2):
+            (tmp_path / folder / f"s{i}.pgm").write_bytes(b"P5\n8 8\n15\n" + bytes([i] * 64))
+        (tmp_path / folder / name).write_bytes(bom + text.encode("utf-8"))
+    assert read(tmp_path / "bom" / name) == read(tmp_path / "plain" / name)
 
 
 class TestVerifyProp:

@@ -5,14 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from freqmia import experiment
+from freqmia.attacks import run_attack, write_score_csv
 from freqmia.datasets import LabeledSample, generate_dataset
 from freqmia.denoiser import ToyDenoiser, train_toy_denoiser
 from freqmia.diffusion import linear_schedule
-from freqmia.errors import ConfigurationError, ExperimentError
+from freqmia.errors import ConfigurationError, ExperimentError, TrainingError
 from freqmia.evaluation import auc, compute_roc
 from freqmia.experiment import (ExperimentConfig, Pipeline, attack_stage, evaluate_stage,
                                 load_inputs, report_stage, run_experiment)
-from freqmia.attacks import run_attack
 from freqmia.spectral import FilterSpec
 
 
@@ -121,6 +122,34 @@ class TestRunExperiment:
         assert (partial / "scores_naive.csv").is_file()
         assert not (tmp_path / "out" / "model.fmia").exists()
 
+    def test_half_written_file_moves_under_partial(self, tmp_path, monkeypatch):
+        # a score write that fails after 12 of 16 rows leaves no truncated
+        # scores_naive.csv for a later eval to take for the run's output
+        expected = tmp_path / "first_12.csv"
+
+        def write_then_fail(records, path):
+            write_score_csv(records[:12], expected)
+            write_score_csv(records[:12], path)
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(experiment, "write_score_csv", write_then_fail)
+        out = tmp_path / "out"
+        with pytest.raises(ExperimentError, match="attack:naive.*No space left on device"):
+            run_experiment(tiny_config(out, attack_kinds=("naive",)))
+        assert not (out / "scores_naive.csv").exists()
+        written = (out / "partial" / "scores_naive.csv").read_bytes()
+        assert written == expected.read_bytes()
+        assert len(written.splitlines()) == 1 + 12
+
+    def test_stage_failing_before_its_first_write_leaves_no_out(self, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingError("loss diverged at epoch 0")
+
+        monkeypatch.setattr(experiment, "train_toy_denoiser", diverge)
+        with pytest.raises(ExperimentError, match="stage 'train' failed: loss diverged"):
+            run_experiment(tiny_config(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     def test_comparison_table_shape(self, tmp_path):
         config = tiny_config(tmp_path / "out")
         run_experiment(config)
@@ -146,6 +175,31 @@ class TestRunExperiment:
         on_disk = json.loads((tmp_path / "out" / "metrics_pia_raw.json").read_text())
         in_report = {k: v for k, v in report["attacks"]["pia"]["raw"].items() if k != "tau"}
         assert on_disk == in_report
+
+
+class TestPipeline:
+    def test_makes_out_with_its_first_path(self, tmp_path):
+        out = tmp_path / "a" / "out"
+        pipe = Pipeline(tiny_config(out))
+        assert not (tmp_path / "a").exists()
+        assert pipe.path("x.csv") == out / "x.csv"
+        assert out.is_dir() and not (out / "x.csv").exists()
+
+    def test_failed_stage_moves_an_older_file_it_was_handed(self, tmp_path):
+        # the path is recorded before it is written, so an older run's file
+        # of that name cannot pass for this run's output
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "scores_naive.csv").write_text("older run\n")
+        (out / "scores_pia.csv").write_text("older run\n")
+        pipe = Pipeline(tiny_config(out))
+        with pytest.raises(ExperimentError, match="stage 'attack:naive' failed: disk full"):
+            with pipe.stage("attack:naive"):
+                pipe.path("scores_naive.csv")
+                raise OSError("disk full")
+        assert (out / "partial" / "scores_naive.csv").read_text() == "older run\n"
+        assert not (out / "scores_naive.csv").exists()
+        assert (out / "scores_pia.csv").is_file()
 
 
 class TestInjectedDenoiser:
