@@ -57,26 +57,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser):
     parser.add_argument("--config", help="experiment config file")
-    parser.add_argument("--seed", type=int, help="override the global seed")
     parser.add_argument("--out", help="override the output directory")
 
 
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out:
-        updates["out_dir"] = args.out
-    return dataclasses.replace(config, **updates) if updates else config
+    return dataclasses.replace(config, out_dir=args.out) if args.out else config
 
 
 def _cmd_gen_data(args) -> int:
     config = _load_config(args)
     samples = generate_dataset(config.dataset_spec())
-    target = Path(config.out_dir) / "dataset"
-    export_pgm_dir(samples, target)
-    print(f"wrote {len(samples)} samples to {target}")
+    pipe = Pipeline(config)
+    with pipe.stage("gen-data"):
+        export_pgm_dir(samples, lambda name: pipe.path(f"dataset/{name}"))
+    print(f"wrote {len(samples)} samples to {pipe.out / 'dataset'}")
     return 0
 
 

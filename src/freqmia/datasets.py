@@ -245,15 +245,16 @@ def ingest_pgm_dir(path) -> list[LabeledSample]:
     return samples
 
 
-def export_pgm_dir(samples, path) -> None:
+def export_pgm_dir(samples, path_for) -> None:
     """Write samples as PGM files plus the manifest (inverse of ingestion
-    up to 8-bit quantization)."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
+    up to 8-bit quantization), each file to the path ``path_for(name)``
+    returns. The manifest's path is asked for before the first PGM is
+    written and the manifest written last; no directory is made."""
+    manifest = path_for(MANIFEST_NAME)
     lines = []
     for sample in samples:
         name = sample.sample_id if sample.sample_id.endswith(".pgm") else f"{sample.sample_id}.pgm"
-        write_pgm(root / name, sample.image)
+        write_pgm(path_for(name), sample.image)
         lines.append(f"{name},{sample.membership}")
-    with open(root / MANIFEST_NAME, "w", encoding="utf-8", newline="\n") as fh:
+    with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -29,11 +29,11 @@ writes the same bytes.
 Inputs (config, dataset, schedule, model file, score CSVs, loss trace) are
 loaded and checked before any stage, so a bad input raises its own error.
 Text inputs may start with a UTF-8 byte-order mark. A stage writes each
-file to the path :meth:`Pipeline.path` hands it, and ``<out>`` is made with
-the first such path, so a command that fails before its first write makes
-no ``<out>``. If a stage fails, every file the pipeline handed out so far,
-a half-written one included, moves under ``<out>/partial/`` and an
-:class:`ExperimentError` naming the stage is raised.
+file to the path :meth:`Pipeline.path` hands it; the first such path makes
+``<out>`` and any subdirectory it names, so a command that fails before its
+first write makes no ``<out>``. If a stage fails, every file the pipeline
+handed out so far, a half-written one included, moves under
+``<out>/partial/`` and an :class:`ExperimentError` naming the stage is raised.
 """
 
 import configparser
@@ -305,10 +305,10 @@ class Pipeline:
         self.paths: list[Path] = []
 
     def path(self, name: str) -> Path:
-        """``<out>/<name>``, recorded before it is written; makes ``<out>``
-        if needed."""
-        self.out.mkdir(parents=True, exist_ok=True)
+        """``<out>/<name>``, recorded before it is written; makes its
+        directory if needed."""
         target = self.out / name
+        target.parent.mkdir(parents=True, exist_ok=True)
         self.paths.append(target)
         return target
 
@@ -346,8 +346,9 @@ def _write_loss_trace(path, trace) -> None:
 
 def _read_final_train_loss(out_dir):
     """Last loss of ``<out_dir>/train_loss.csv``; None without the file or
-    an epoch. A row other than an integer epoch and a finite loss raises
-    :class:`IngestionError` naming the file and line."""
+    an epoch. A blank line is skipped; any other row but an integer epoch
+    and a finite loss raises :class:`IngestionError` naming the file and
+    line."""
     path = Path(out_dir) / "train_loss.csv"
     if not path.is_file():
         return None
@@ -355,6 +356,8 @@ def _read_final_train_loss(out_dir):
     with reading(path):
         lines = path.read_text(encoding="utf-8-sig").splitlines()
         for lineno, line in enumerate(lines[1:], start=2):  # line 1 is the header
+            if not line:
+                continue
             try:
                 epoch, text = line.split(",")
                 int(epoch)

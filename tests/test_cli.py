@@ -41,13 +41,13 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 
 class TestRunCommand:
-    def test_full_pipeline_and_determinism(self, tmp_path, config_path, capsys):
+    def test_full_pipeline_and_determinism(self, tmp_path, capsys):
         out_a = tmp_path / "ra"
         out_b = tmp_path / "rb"
-        assert main(["run", "--config", str(config_path), "--seed", "7",
-                     "--out", str(out_a)]) == 0
-        assert main(["run", "--config", str(config_path), "--seed", "7",
-                     "--out", str(out_b)]) == 0
+        config_path = tmp_path / "seed7.ini"
+        tiny_config(tmp_path / "out", seed=7).to_file(config_path)
+        assert main(["run", "--config", str(config_path), "--out", str(out_a)]) == 0
+        assert main(["run", "--config", str(config_path), "--out", str(out_b)]) == 0
         for name in ("scores_naive.csv", "scores_pia.csv", "scores_secmi.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         assert "auc=" in capsys.readouterr().out
@@ -64,7 +64,7 @@ class TestRunCommand:
         assert "usage" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--s", "0.1"], ["--s", "1"], ["--rt", "1.0"],
-                                       ["--q", "1"]])
+                                       ["--q", "1"], ["--seed", "7"]])
     def test_experiment_parameter_flag_exits_1_with_usage(self, tmp_path, config_path, capsys,
                                                           flags):
         # experiment parameters come from the config file only, and no
@@ -148,6 +148,43 @@ class TestStagedCommands:
         assert from_attack == from_run
         assert (tmp_path / "out" / "partial" / "scores_naive.csv").is_file()
         assert (tmp_path / "out" / "model.fmia").is_file()
+
+    def test_gen_data_output_fault_exits_2_and_moves_the_old_manifest(self, tmp_path,
+                                                                      config_path, capsys):
+        dataset = tmp_path / "out" / "dataset"
+        assert main(["gen-data", "--config", str(config_path)]) == 0
+        old_manifest = (dataset / "manifest.csv").read_bytes()
+        (dataset / "sample_0003.pgm").unlink()
+        (dataset / "sample_0003.pgm").mkdir()
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'gen-data' failed: ") and "Traceback" not in err
+        assert not (dataset / "manifest.csv").exists()
+        partial = tmp_path / "out" / "partial"
+        assert (partial / "manifest.csv").read_bytes() == old_manifest
+        for i in range(3):
+            assert (partial / f"sample_{i:04d}.pgm").is_file()
+            assert not (dataset / f"sample_{i:04d}.pgm").exists()
+
+    @pytest.mark.parametrize("command, first_output, stage", [
+        ("gen-data", "dataset/sample_0000.pgm", "gen-data"),
+        ("train", "model.fmia", "train"),
+        ("attack", "scores_naive.csv", "attack:naive"),
+        ("eval", "metrics_naive_raw.json", "eval:naive"),
+        ("run", "model.fmia", "train"),
+    ])
+    def test_directory_at_first_output_exits_2_naming_the_stage(self, tmp_path, config_path,
+                                                                capsys, command, first_output,
+                                                                stage):
+        inputs = {"attack": ["train"], "eval": ["train", "attack"]}
+        for earlier in inputs.get(command, []):
+            assert main([earlier, "--config", str(config_path)]) == 0
+        (tmp_path / "out" / first_output).mkdir(parents=True)
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage '{stage}' failed: ") and "Traceback" not in err
 
     def test_attack_requires_model(self, tmp_path, config_path, capsys):
         assert main(["attack", "--config", str(config_path),
@@ -420,6 +457,17 @@ class TestMalformedInputs:
         assert main(["eval", "--config", str(config_path)]) == 1
         assert f"train_loss.csv, line {line}: " in capsys.readouterr().err
         assert not list(out.glob("metrics_*.json")) and not (out / "partial").exists()
+
+    def test_blank_lines_in_loss_trace_are_skipped(self, tmp_path, config_path, capsys):
+        for command in ("train", "attack"):
+            assert main([command, "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        trace = out / "train_loss.csv"
+        header, *rows = trace.read_text().splitlines()
+        final = float(rows[-1].split(",")[1])
+        trace.write_text("\n".join([header, rows[0], "", *rows[1:], "", ""]))
+        assert main(["eval", "--config", str(config_path)]) == 0
+        assert json.loads((out / "experiment.json").read_text())["final_train_loss"] == final
 
     def test_non_utf8_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "latin.ini"

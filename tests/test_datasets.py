@@ -164,7 +164,8 @@ class TestIngestDir:
     def test_round_trip_through_export(self, tmp_path):
         spec = DatasetSpec(size=8, n_member=3, n_holdout=2, seed=9)
         samples = generate_dataset(spec)
-        export_pgm_dir(samples, tmp_path / "data")
+        (tmp_path / "data").mkdir()
+        export_pgm_dir(samples, (tmp_path / "data").joinpath)
         loaded = ingest_pgm_dir(tmp_path / "data")
         assert len(loaded) == len(samples)
         for before, after in zip(samples, loaded):
@@ -172,7 +173,8 @@ class TestIngestDir:
             # quantized to 8 bits on export, so equal to half a bin
             assert np.max(np.abs(after.image - before.image)) <= 1.0 / 255.0 + 1e-12
         # a second ingest of the exported files is bit-exact
-        export_pgm_dir(loaded, tmp_path / "data2")
+        (tmp_path / "data2").mkdir()
+        export_pgm_dir(loaded, (tmp_path / "data2").joinpath)
         again = ingest_pgm_dir(tmp_path / "data2")
         for first, second in zip(loaded, again):
             assert np.array_equal(first.image, second.image)
@@ -213,7 +215,8 @@ class TestIngestDir:
 
     def test_generate_dataset_delegates_for_pgm_kind(self, tmp_path):
         spec = DatasetSpec(size=8, n_member=2, n_holdout=2, seed=10)
-        export_pgm_dir(generate_dataset(spec), tmp_path / "d")
+        (tmp_path / "d").mkdir()
+        export_pgm_dir(generate_dataset(spec), (tmp_path / "d").joinpath)
         loaded = generate_dataset(DatasetSpec(kind="pgm_dir", path=str(tmp_path / "d")))
         assert len(loaded) == 4
         assert sum(s.membership for s in loaded) == 2
