@@ -20,11 +20,13 @@ so on. :func:`layer_views` is the only code that knows this layout.
 """
 
 import struct
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import _blas
 from .diffusion import NoiseSchedule, check_timesteps
 from .errors import ConfigurationError, ContractViolation, IngestionError, TrainingError, reading
 from .seeding import derive_rng
@@ -263,6 +265,33 @@ def batch_loss_and_grads(den: ToyDenoiser, x0_batch, t_batch, eps_batch, sched: 
     return loss, grad
 
 
+def _draw_epochs(rng, images, epochs, batch_size, T, handoff, stop):
+    """Training's producer thread: for each epoch, the permutation, then per
+    batch its images, timesteps and float32 noise, drawn from ``rng`` in the
+    order of a serial loop, put on ``handoff`` as one list per epoch.
+
+    An exception is put on ``handoff`` in place of the epoch. Once ``stop``
+    is set, at most one more put is made. Only ``rng`` methods and
+    ``np.take`` run here, so a tracer that wraps the package's functions
+    sees the main thread alone.
+    """
+    n, pixels = images.shape
+    try:
+        for _ in range(epochs):
+            if stop.is_set():
+                return
+            order = rng.permutation(n)
+            batches = []
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                t = rng.integers(0, T, size=len(idx))
+                eps = rng.standard_normal((len(idx), pixels), dtype=np.float32)
+                batches.append((np.take(images, idx, axis=0), t, eps))
+            handoff.put(batches)
+    except BaseException as exc:
+        handoff.put(exc)
+
+
 def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
                        hidden_sizes=(256,), emb_dim: int = 16):
     """Fit the toy denoiser to the member images by seeded SGD.
@@ -273,6 +302,12 @@ def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
     gradients are float32; the returned model holds those parameters as
     float64. Raises :class:`TrainingError` with the epoch index if the loss
     stops being finite.
+
+    A second thread (:func:`_draw_epochs`) draws each epoch's shuffle,
+    timesteps and noise while this one trains on the epoch before, and
+    OpenBLAS runs on one thread for the duration of the call (restored on
+    exit), so the two threads fit on two cores. The draws and the updates
+    are those of a serial loop, so the result does not depend on either.
     """
     images = np.asarray(dataset, dtype=np.float32)
     if images.ndim < 3 or images.shape[0] == 0:
@@ -284,23 +319,40 @@ def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
     vel = np.zeros_like(den.params)
     images = images.reshape(n, -1)
 
+    import queue  # here, not at the top: it would add to every import of freqmia
+
+    handoff = queue.Queue(maxsize=1)
+    stop = threading.Event()
+    producer = threading.Thread(
+        target=_draw_epochs, name="freqmia-train-draws", daemon=True,
+        args=(rng, images, config.epochs, config.batch_size, sched.T, handoff, stop))
     trace = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            t = rng.integers(0, sched.T, size=len(idx))
-            eps = rng.standard_normal((len(idx), images.shape[1]), dtype=np.float32)
-            loss, grad = batch_loss_and_grads(den, np.take(images, idx, axis=0), t, eps, sched)
-            if not np.isfinite(loss):
-                raise TrainingError(f"loss diverged at epoch {epoch}")
-            grad *= config.learning_rate
-            vel *= config.momentum
-            vel -= grad
-            den.params += vel
-            epoch_losses.append(loss)
-        trace.append(float(np.mean(epoch_losses)))
+    with _blas.one_thread():
+        producer.start()
+        try:
+            for epoch in range(config.epochs):
+                batches = handoff.get()
+                if isinstance(batches, BaseException):
+                    raise batches
+                epoch_losses = []
+                for x0, t, eps in batches:
+                    loss, grad = batch_loss_and_grads(den, x0, t, eps, sched)
+                    if not np.isfinite(loss):
+                        raise TrainingError(f"loss diverged at epoch {epoch}")
+                    grad *= config.learning_rate
+                    vel *= config.momentum
+                    vel -= grad
+                    den.params += vel
+                    epoch_losses.append(loss)
+                trace.append(float(np.mean(epoch_losses)))
+        finally:
+            stop.set()
+            while True:  # frees the producer if it waits to hand over an epoch
+                try:
+                    handoff.get_nowait()
+                except queue.Empty:
+                    break
+            producer.join()
     return den.astype(np.float64), trace
 
 

@@ -3,8 +3,8 @@
 The golden run is ``freqmia run`` on the default config with 50 members,
 50 hold-outs and 300 epochs. ``tests/test_golden_run.py`` checks a fresh
 run against ``tests/golden_run.json``, which holds every score as its
-``repr``, the metrics files, the sha256 of every output and the numpy
-version it came from. Regenerate the file only for a declared numerics
+``repr``, the metrics files, the sha256 of every output, and the numpy
+version and OpenBLAS core it came from. Regenerate the file only for a declared numerics
 change, and name the change in CHANGES.md:
 
     PYTHONPATH=src python tests/golden_run.py
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from freqmia._blas import core_name
 from freqmia.attacks import read_score_csv
 from freqmia.cli import main
 from freqmia.experiment import ExperimentConfig
@@ -39,6 +40,7 @@ def run(work: Path) -> dict:
         raise RuntimeError(f"freqmia run exited {code}")
     return {
         "numpy": np.__version__,
+        "blas_core": core_name(),
         "config": OVERRIDES,
         "scores": {path.stem.removeprefix("scores_"): [
             [r.sample_id, r.membership, *map(repr, (r.score_raw, r.score_filtered, r.hf_content))]

@@ -1,8 +1,17 @@
+import hashlib
+import os
 import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
+import numpy.random._pcg64
 import pytest
 
+import freqmia.denoiser
+from freqmia import _blas
 from freqmia.denoiser import (
     ToyDenoiser,
     TrainingConfig,
@@ -16,7 +25,10 @@ from freqmia.denoiser import (
 )
 from freqmia.diffusion import linear_schedule, q_sample
 from freqmia.errors import ConfigurationError, ContractViolation, IngestionError, TrainingError
+from freqmia.experiment import ExperimentConfig
 from freqmia.seeding import derive_rng
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -480,13 +492,21 @@ class TestTraining:
         for wa, wb in zip(den_a.weights, den_b.weights):
             assert np.array_equal(wa, wb)
 
-    def test_matches_per_layer_momentum_reference(self, sched):
-        images = smooth_images(5, 8, seed=15)
-        config = TrainingConfig(epochs=3, batch_size=2, learning_rate=0.05, momentum=0.9, seed=6)
+    @pytest.mark.parametrize("n, batch_size, epochs", [
+        (5, 2, 3),
+        (7, 3, 7),   # a short last batch
+        (3, 8, 1),   # one batch, larger than the dataset
+        (4, 2, 0),   # no epochs: no draw at all
+        (1, 1, 7),
+    ])
+    def test_matches_per_layer_momentum_reference(self, sched, n, batch_size, epochs):
+        images = smooth_images(n, 8, seed=15)
+        config = TrainingConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.05,
+                                momentum=0.9, seed=6)
         den, trace = train_toy_denoiser(images, config, sched, hidden_sizes=(16, 12), emb_dim=8)
         ref_params, ref_trace = per_layer_momentum_train(images, config, sched, (16, 12), 8)
         assert den.params.tobytes() == ref_params.tobytes()
-        assert trace == ref_trace
+        assert trace == ref_trace and len(trace) == epochs
 
     def test_matches_per_step_root_and_embedding_reference(self, sched):
         images = smooth_images(5, 8, seed=16)
@@ -507,9 +527,11 @@ class TestTraining:
     def test_divergence_raises_with_epoch_index(self, sched):
         images = smooth_images(2, 8, seed=14)
         config = TrainingConfig(epochs=50, batch_size=2, learning_rate=1e12, seed=4)
+        before = set(threading.enumerate())
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="epoch"):
                 train_toy_denoiser(images, config, sched, hidden_sizes=(16,), emb_dim=8)
+        assert set(threading.enumerate()) <= before  # the draws' thread has ended
 
     def test_empty_dataset_rejected(self, sched):
         config = TrainingConfig(epochs=1, batch_size=1, learning_rate=0.1, seed=0)
@@ -523,6 +545,148 @@ class TestTraining:
             TrainingConfig(epochs=1, batch_size=0, learning_rate=0.1)
         with pytest.raises(ConfigurationError):
             TrainingConfig(epochs=1, batch_size=1, learning_rate=0.1, momentum=1.0)
+
+
+class DrawFailed(Exception):
+    """Raised by a stand-in generator on training's producer thread."""
+
+
+class StepFailed(Exception):
+    """Raised by a stand-in loss-and-gradient step on the calling thread."""
+
+
+class FailingNoise:
+    """A training generator that draws as ``rng`` does and raises
+    :class:`DrawFailed` in place of its ``fail_at``-th noise draw."""
+
+    def __init__(self, rng, fail_at):
+        self._rng, self._left = rng, fail_at
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, *args, **kwargs):
+        self._left -= 1
+        if not self._left:
+            raise DrawFailed("noise draw failed")
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """OpenBLAS set to two threads for the test, as a caller might leave
+    it; the count before the test is restored after it."""
+    lib = _blas._library()
+    if lib is None:
+        pytest.skip("numpy's OpenBLAS thread symbols are not reachable")
+    before = _blas.thread_count()
+    lib.scipy_openblas_set_num_threads64_(2)
+    yield 2
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+class TestTrainingThreads:
+    """Training draws on a producer thread and runs OpenBLAS on one thread;
+    neither may outlive the call or change what it computes."""
+
+    IMAGES = smooth_images(6, 8, seed=20)
+    CONFIG = TrainingConfig(epochs=6, batch_size=2, learning_rate=0.05, seed=10)
+
+    def train(self, sched, config=CONFIG):
+        return train_toy_denoiser(self.IMAGES, config, sched, hidden_sizes=(16,), emb_dim=8)
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 11])
+    def test_a_failed_draw_reaches_the_caller_and_no_thread_is_left(self, sched, monkeypatch,
+                                                                   fail_at):
+        real = freqmia.denoiser.derive_rng
+
+        def derive(seed, *parts):
+            rng = real(seed, *parts)
+            return FailingNoise(rng, fail_at) if parts == ("denoiser-train",) else rng
+
+        monkeypatch.setattr(freqmia.denoiser, "derive_rng", derive)
+        before = set(threading.enumerate())
+        with pytest.raises(DrawFailed):
+            self.train(sched)
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("fail_at", [1, 4, 17])
+    def test_a_failed_step_reaches_the_caller_and_no_thread_is_left(self, sched, monkeypatch,
+                                                                   fail_at):
+        real, calls = freqmia.denoiser.batch_loss_and_grads, []
+
+        def step(*args):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise StepFailed("step failed")
+            return real(*args)
+
+        monkeypatch.setattr(freqmia.denoiser, "batch_loss_and_grads", step)
+        before = set(threading.enumerate())
+        with pytest.raises(StepFailed):
+            self.train(sched)
+        assert set(threading.enumerate()) <= before
+
+    def test_blas_runs_one_thread_while_training_and_the_callers_count_after(
+            self, sched, monkeypatch, caller_blas_threads):
+        real, seen = freqmia.denoiser.batch_loss_and_grads, set()
+
+        def step(*args):
+            seen.add(_blas.thread_count())
+            return real(*args)
+
+        monkeypatch.setattr(freqmia.denoiser, "batch_loss_and_grads", step)
+        self.train(sched)
+        assert seen == {1}
+        assert _blas.thread_count() == caller_blas_threads
+
+    def test_the_callers_blas_count_is_restored_after_a_training_error(self, sched,
+                                                                       caller_blas_threads):
+        config = TrainingConfig(epochs=50, batch_size=2, learning_rate=1e12, seed=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError):
+                self.train(sched, config)
+        assert _blas.thread_count() == caller_blas_threads
+
+    @pytest.mark.parametrize("stand_in", ["absent", "not a library", "without the symbols"])
+    def test_without_the_openblas_symbols_training_is_unchanged(self, sched, monkeypatch,
+                                                                tmp_path, stand_in):
+        den, trace = self.train(sched)
+        path = tmp_path / "libscipy_openblas64_stand_in.so"
+        if stand_in == "not a library":
+            path.write_bytes(b"not a shared object")
+        elif stand_in == "without the symbols":
+            path.symlink_to(numpy.random._pcg64.__file__)
+        monkeypatch.setattr(_blas, "_LIBRARY_GLOB", str(tmp_path / "libscipy_openblas64_*.so"))
+        _blas._library.cache_clear()
+        try:
+            assert _blas.core_name() == _blas.UNKNOWN and _blas.thread_count() is None
+            fallback_den, fallback_trace = self.train(sched)
+        finally:
+            _blas._library.cache_clear()
+        assert fallback_den.params.tobytes() == den.params.tobytes()
+        assert fallback_trace == trace
+
+    def test_a_run_writes_the_same_bytes_whatever_openblas_num_threads_says(self, tmp_path):
+        ExperimentConfig(out_dir="out", n_member=24, n_holdout=24,
+                         epochs=20).to_file(tmp_path / "small.ini")
+        digests = {}
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = str(SRC)
+            work = tmp_path / f"threads-{threads}"
+            work.mkdir()
+            done = subprocess.run([sys.executable, "-m", "freqmia", "run", "--config",
+                                   str(tmp_path / "small.ini")], cwd=work, env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests[threads] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                                for path in sorted((work / "out").iterdir())}
+        assert "model.fmia" in digests[None]
+        assert digests["1"] == digests["2"] == digests[None]
 
 
 class TestSerialization:

@@ -48,10 +48,9 @@ def test_scores_and_metrics_match_to_tolerance(golden):
     assert not bad, bad[:5]
 
 
-@pytest.mark.skip(reason="sha256 half not checked: output bytes are pinned for one numpy and one "
-                         "BLAS kernel, and the package cannot yet report which BLAS kernel ran")
 def test_output_bytes_match_on_the_recorded_numpy_and_kernel(golden):
     got, want = golden
-    if got["numpy"] != want["numpy"]:
-        pytest.skip(f"numpy {got['numpy']}, the expected file's is {want['numpy']}")
+    for key, name in (("numpy", "numpy"), ("blas_core", "OpenBLAS core")):
+        if got[key] != want[key]:
+            pytest.skip(f"{name} {got[key]}, the expected file's is {want[key]}")
     assert got["sha256"] == want["sha256"]
