@@ -12,6 +12,7 @@ the core name is what a recorded sha256 has to be compared under.
 import ctypes
 import glob
 import os
+import threading
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -50,21 +51,35 @@ def thread_count():
     return lib.scipy_openblas_get_num_threads64_() if lib is not None else None
 
 
+# module state, like the thread count it guards: OpenBLAS has one per process
+_holders_lock = threading.Lock()
+_holders = 0
+_saved_count = None
+
+
 @contextmanager
 def one_thread():
     """Run the block with OpenBLAS on one thread, whatever
     ``OPENBLAS_NUM_THREADS`` says, and restore the caller's count on exit.
 
-    The count is process-wide: blocks on concurrent threads would restore
-    each other's settings.
+    The count is process-wide, so blocks on concurrent threads share one
+    setting: the first holder to enter saves the count and sets one
+    thread, and the last holder to leave restores the saved count.
     """
+    global _holders, _saved_count
     lib = _library()
     if lib is None:
         yield
         return
-    before = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
+    with _holders_lock:
+        if _holders == 0:
+            _saved_count = lib.scipy_openblas_get_num_threads64_()
+            lib.scipy_openblas_set_num_threads64_(1)
+        _holders += 1
     try:
         yield
     finally:
-        lib.scipy_openblas_set_num_threads64_(before)
+        with _holders_lock:
+            _holders -= 1
+            if _holders == 0:
+                lib.scipy_openblas_set_num_threads64_(_saved_count)

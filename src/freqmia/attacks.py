@@ -202,9 +202,10 @@ def run_attack(samples, config: AttackConfig, denoiser, sched: NoiseSchedule,
     making the output independent of dataset ordering. Every
     ``_SCORE_CHUNK`` samples get one pair call and two
     :func:`paradigm_score` calls, raw and filtered, so no score's bits
-    depend on the chunk it is in. A non-finite difference fails the
-    filter's check for the whole chunk, and a finite one whose norm
-    overflows raises :class:`ContractViolation` naming its sample.
+    depend on the chunk it is in. A pair with a non-finite value, such as
+    a prediction that overflowed the model's float32, and a finite pair
+    whose norm overflows each raise :class:`ContractViolation` naming the
+    first such sample, under any warning filter.
     """
     samples = list(samples)
     if not samples:
@@ -214,14 +215,20 @@ def run_attack(samples, config: AttackConfig, denoiser, sched: NoiseSchedule,
     for start in range(0, len(samples), _SCORE_CHUNK):
         chunk = samples[start:start + _SCORE_CHUNK]
         images = np.stack([sample.image for sample in chunk])
-        if config.kind == "naive":
-            seeds = [derive_seed(config.seed, "attack-sample", s.sample_id) for s in chunk]
-            pair = naive_pair(images, config.t_attack, denoiser, sched, seeds)
-        elif config.kind == "pia":
-            pair = pia_pair(images, config.t_attack, denoiser, sched)
-        else:
-            pair = secmi_pair(images, config.t_attack, denoiser, sched, config.stride)
-        with np.errstate(over="ignore"):  # an overflowed norm is reported below
+        # an overflowed prediction or norm is reported below, whatever the warning filter
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.kind == "naive":
+                seeds = [derive_seed(config.seed, "attack-sample", s.sample_id) for s in chunk]
+                pair = naive_pair(images, config.t_attack, denoiser, sched, seeds)
+            elif config.kind == "pia":
+                pair = pia_pair(images, config.t_attack, denoiser, sched)
+            else:
+                pair = secmi_pair(images, config.t_attack, denoiser, sched, config.stride)
+            axes = tuple(range(1, pair.predicted.ndim))
+            finite = np.isfinite(pair.predicted).all(axes) & np.isfinite(pair.target).all(axes)
+            if not finite.all():
+                bad = chunk[np.argmin(finite)].sample_id
+                raise ContractViolation(f"the pair of sample {bad!r} is non-finite")
             raw = paradigm_score(pair, config.q)
             filtered = paradigm_score(pair, config.q, config.filter)
         finite = np.isfinite(raw) & np.isfinite(filtered)

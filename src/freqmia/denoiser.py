@@ -6,7 +6,10 @@ shape. It is deliberately tiny: the point is a denoiser that can be driven
 into overfitting a small member set, deterministically, with no framework
 dependence. Gradients are computed by manual backpropagation and the
 optimizer is plain SGD with optional momentum. Training computes in float32
-and returns float64 parameters; prediction and weight files are float64.
+and returns a float32 model, and a loaded model is float32 too: a trained
+model runs its forward pass in the precision it was trained in. Prediction
+returns float64, so everything downstream of the denoiser stays float64.
+Weight files store the float32 values as float64.
 
 Weight files ("FMIA" format, version 1) are flat little-endian binaries:
 
@@ -131,8 +134,10 @@ class ToyDenoiser:
     shape ``image_shape``, which is (C, H, W) as a weight file stores it,
     and an integer timestep returns a same-shaped noise prediction.
     Evaluation is read-only and thread-safe. ``weights`` and ``biases`` are
-    views into the one parameter vector ``params``, which is float64, or
-    float32 when given float32 (training's working copy).
+    views into the one parameter vector ``params``, which is float32 when
+    given float32 (a trained or loaded model) and float64 otherwise.
+    Prediction casts its input to the dtype of ``params``, computes in it,
+    and returns float64.
     """
 
     def __init__(self, params, layer_sizes, image_shape, emb_dim: int, T: int):
@@ -193,10 +198,12 @@ class ToyDenoiser:
 
     def predict_batch(self, x_flat: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Noise predictions for flattened inputs (B, pixels) at integer
-        timesteps (B,), each in ``[0, T)``."""
+        timesteps (B,), each in ``[0, T)``, as float64."""
         t = check_timesteps(np.asarray(t), self.T)
-        emb = _embedding_table(self.T, self.emb_dim, self.params.dtype)[t]
-        return self._forward_batch(np.concatenate([x_flat, emb], axis=1))[-1]
+        dtype = self.params.dtype
+        emb = _embedding_table(self.T, self.emb_dim, dtype)[t]
+        inputs = np.concatenate([x_flat, emb], axis=1, dtype=dtype)
+        return self._forward_batch(inputs)[-1].astype(np.float64, copy=False)
 
     def __call__(self, x, t: int) -> np.ndarray:
         """The prediction for one image: bitwise ``predict_batch`` on the
@@ -205,9 +212,10 @@ class ToyDenoiser:
         if x.shape != self.image_shape:
             raise ContractViolation(f"input shape {x.shape} != model shape {self.image_shape}")
         t = check_timesteps(t, self.T)
-        emb = _embedding_table(self.T, self.emb_dim, self.params.dtype)[t]
-        row = np.concatenate((x.reshape(-1), emb))
-        return self._forward_batch(row)[-1].reshape(self.image_shape)
+        dtype = self.params.dtype
+        emb = _embedding_table(self.T, self.emb_dim, dtype)[t]
+        out = self._forward_batch(np.concatenate((x.reshape(-1), emb), dtype=dtype))[-1]
+        return out.astype(np.float64, copy=False).reshape(self.image_shape)
 
 
 def batch_loss_and_grads(den: ToyDenoiser, x0_batch, t_batch, eps_batch, sched: NoiseSchedule):
@@ -299,9 +307,9 @@ def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
     Returns ``(denoiser, loss_trace)`` where the trace holds one mean batch
     loss per epoch. Two calls with the same arguments produce identical
     weights and traces. The images, noise, parameters, velocity and
-    gradients are float32; the returned model holds those parameters as
-    float64. Raises :class:`TrainingError` with the epoch index if the loss
-    stops being finite.
+    gradients are float32, and so is the returned model. Raises
+    :class:`TrainingError` with the epoch index if the loss stops being
+    finite.
 
     A second thread (:func:`_draw_epochs`) draws each epoch's shuffle,
     timesteps and noise while this one trains on the epoch before, and
@@ -353,11 +361,12 @@ def train_toy_denoiser(dataset, config: TrainingConfig, sched: NoiseSchedule,
                 except queue.Empty:
                     break
             producer.join()
-    return den.astype(np.float64), trace
+    return den, trace
 
 
 def save_denoiser(den: ToyDenoiser, path) -> None:
-    """Write the model in the flat FMIA v1 binary format."""
+    """Write the model in the flat FMIA v1 binary format; the body holds its
+    parameters as float64, which keeps a float32 value exact."""
     sizes = den.layer_sizes
     header = _MAGIC + struct.pack(
         "<7I", _FORMAT_VERSION, den.T, *den.image_shape, den.emb_dim, len(sizes)
@@ -369,10 +378,12 @@ def save_denoiser(den: ToyDenoiser, path) -> None:
 def load_denoiser(path) -> ToyDenoiser:
     """Read a model written by :func:`save_denoiser`.
 
-    A file that is not FMIA v1, or whose header :class:`ToyDenoiser` rejects,
-    raises :class:`ConfigurationError`; one whose length does not match its
-    header, or whose body holds a NaN or an infinity, raises
-    :class:`IngestionError` (naming the first such parameter's index).
+    The model is float32, the dtype training writes. A file that is not
+    FMIA v1, or whose header :class:`ToyDenoiser` rejects, raises
+    :class:`ConfigurationError`; one whose length does not match its header,
+    or whose body holds a NaN or an infinity, or a value that float32 does
+    not hold exactly, raises :class:`IngestionError` (naming the first such
+    parameter's index).
     """
     with reading(path):
         with open(path, "rb") as fh:
@@ -397,4 +408,10 @@ def load_denoiser(path) -> ToyDenoiser:
         if not finite.all():
             k = int(np.argmin(finite))
             raise IngestionError(f"parameter {k} is not finite ({float(params[k])})")
-        return ToyDenoiser(params, sizes, (c, h, w), emb_dim, T)
+        with np.errstate(over="ignore"):  # a value out of float32's range is reported below
+            narrow = params.astype(np.float32)
+        exact = narrow == params
+        if not exact.all():
+            k = int(np.argmin(exact))
+            raise IngestionError(f"parameter {k} is not a float32 value ({float(params[k])})")
+        return ToyDenoiser(narrow, sizes, (c, h, w), emb_dim, T)

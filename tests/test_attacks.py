@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,25 @@ class TestRunAttack:
         with pytest.raises(ContractViolation, match="non-finite"):
             run_attack(samples, config, den, small_sched)
         assert len(calls) == 4 * calls_per_sample
+
+    @pytest.mark.parametrize("warning_action", ["error", "ignore"])
+    def test_finite_pair_whose_score_overflows_raises(self, small_sched, images,
+                                                      warning_action):
+        affine = _affine_denoiser()
+        calls = []
+
+        def den(x, t):
+            # huge but finite from the third sample's one call on
+            calls.append(t)
+            return affine(x, t) * (1e200 if len(calls) >= 3 else 1.0)
+
+        samples = _make_samples(images, [1, 0, 1, 0])
+        config = AttackConfig(kind="naive", t_attack=10, seed=1, filter=FILTER)
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_action)
+            with pytest.raises(ContractViolation,
+                               match="^the score of sample 's002' overflows float64$"):
+                run_attack(samples, config, den, small_sched)
 
     def test_threshold_rule_monotone_in_tau(self, small_sched, images):
         den = _affine_denoiser()

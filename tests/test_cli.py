@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import freqmia
@@ -562,19 +563,22 @@ class TestMalformedInputs:
     def test_huge_finite_weights_fail_the_attack_stage(self, tmp_path, config_path, capsys,
                                                        warning_action):
         assert main(["train", "--config", str(config_path)]) == 0
-        model = tmp_path / "out" / "model.fmia"
-        den = load_denoiser(model)
-        den.params *= 1e200  # finite, but the squared score differences overflow
-        save_denoiser(den, model)
+        out = tmp_path / "out"
+        den = load_denoiser(out / "model.fmia")
+        # still float32 values, but a prediction fed back into the model
+        # (pia's noise, secmi's chains) overflows the float32 forward pass
+        den.params *= np.float32(1e30)
+        save_denoiser(den, out / "model.fmia")
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter(warning_action)
             assert main(["attack", "--config", str(config_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: stage 'attack:naive' failed: the score of sample ")
-        assert err.endswith(" overflows float64\n")
-        assert not list((tmp_path / "out").rglob("scores_*.csv"))
-        assert not (tmp_path / "out" / "partial").exists()  # nothing was written to move
+        assert capsys.readouterr().err == ("error: stage 'attack:pia' failed: "
+                                           "the pair of sample 'sample_0000' is non-finite\n")
+        # naive's one prediction per sample stays finite: its scores were
+        # written, then moved under partial/ with the failed run
+        assert sorted(p.relative_to(out) for p in out.rglob("scores_*.csv")) == [
+            Path("partial", "scores_naive.csv")]
 
     @pytest.mark.parametrize("name, body", [
         ("metrics_naive_raw.json", '{"asr": 0.5, "auc": 0.5,'),

@@ -92,7 +92,7 @@ def per_layer_momentum_train(images, config, sched, hidden_sizes, emb_dim):
             losses.append(loss)
         trace.append(float(np.mean(losses)))
     params = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
-    return params.astype(np.float64), trace
+    return params, trace
 
 
 def per_step_root_and_embedding_train(images, config, sched, hidden_sizes, emb_dim):
@@ -129,7 +129,7 @@ def per_step_root_and_embedding_train(images, config, sched, hidden_sizes, emb_d
             vel *= config.momentum
             vel -= config.learning_rate * grad
             den.params += vel
-    return den.params.astype(np.float64)
+    return den.params
 
 
 def out_of_place_forward(den, inputs):
@@ -277,6 +277,75 @@ class TestToyDenoiser:
         loss, _ = batch_loss_and_grads(den, x0, [7], eps, sched)
         eps_hat = den(q_sample(x0[0], 7, eps[0], sched), 7)
         assert loss == pytest.approx(np.mean((eps[0] - eps_hat) ** 2), abs=1e-12)
+
+
+def plain_float32_prediction(den, x, t):
+    """Reference for a float32 model's prediction: the image and the
+    timestep's embedding cast to float32, then ``w @ h + b`` and tanh per
+    layer in float32, and the output widened to float64."""
+    h = np.concatenate([np.ravel(x).astype(np.float32),
+                        timestep_embedding(t, den.emb_dim).astype(np.float32)])
+    for i, (w, b) in enumerate(zip(den.weights, den.biases)):
+        h = w @ h + b
+        if i < len(den.weights) - 1:
+            h = np.tanh(h)
+    return h.astype(np.float64).reshape(den.image_shape)
+
+
+class TestPredictionPrecision:
+    """A model predicts in the dtype of its parameters and returns float64."""
+
+    # sha256 of five one-row calls and of one predict_batch over the same
+    # five rows, for a float64 model at the default shapes, as computed
+    # before trained models became float32; BLAS bytes depend on numpy and
+    # the OpenBLAS core (the batch's differ under Haswell)
+    FLOAT64_ROWS = "953ceec85604fdded2967f53869a81e8275b2c38cee61344a0a238dd42a6508a"
+    FLOAT64_BATCH = "9806106215df7b97cbf2647fbb8ad50be4023ef9bf9747c00c1c5c647d9b0007"
+    RECORDED_ON = ("2.4.6", "SkylakeX")
+
+    @pytest.mark.parametrize("hidden", [(256,), (64, 32)])
+    def test_float32_call_matches_a_plain_float32_reference_and_one_row_predict_batch(
+            self, std_sched, hidden):
+        den = ToyDenoiser.initialize((1, 16, 16), hidden, 16, std_sched.T,
+                                     seed=30).astype(np.float32)
+        rng = np.random.default_rng(31)
+        for t in (0, 17, std_sched.T - 1):
+            x = rng.uniform(-1.0, 1.0, (1, 16, 16))
+            got = den(x, t)
+            assert got.dtype == np.float64
+            assert got.tobytes() == plain_float32_prediction(den, x, t).tobytes()
+            row = den.predict_batch(x.reshape(1, -1), np.array([t]))[0]
+            assert row.dtype == np.float64
+            assert row.tobytes() == got.reshape(-1).tobytes()
+
+    def test_float64_predictions_are_the_recorded_bytes(self):
+        if (np.__version__, _blas.core_name()) != self.RECORDED_ON:
+            pytest.skip(f"recorded on numpy {self.RECORDED_ON[0]} "
+                        f"with OpenBLAS core {self.RECORDED_ON[1]}")
+        den = ToyDenoiser.initialize((1, 16, 16), (256,), 16, 1000, seed=31)
+        rng = np.random.default_rng(32)
+        x = rng.uniform(-1.0, 1.0, (5, 1, 16, 16))
+        t = rng.integers(0, 1000, size=5)
+        rows = np.stack([den(image, step) for image, step in zip(x, t.tolist())])
+        batch = den.predict_batch(x.reshape(5, -1), t)
+        assert rows.dtype == batch.dtype == np.float64
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == self.FLOAT64_ROWS
+        assert hashlib.sha256(batch.tobytes()).hexdigest() == self.FLOAT64_BATCH
+
+    def test_a_trained_model_predicts_the_same_bytes_after_save_and_load(self, sched, tmp_path):
+        images = smooth_images(4, 8, seed=33)
+        config = TrainingConfig(epochs=3, batch_size=2, learning_rate=0.05, seed=11)
+        den, _ = train_toy_denoiser(images, config, sched, hidden_sizes=(16,), emb_dim=8)
+        save_denoiser(den, tmp_path / "model.fmia")
+        loaded = load_denoiser(tmp_path / "model.fmia")
+        assert den.params.dtype == loaded.params.dtype == np.float32
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((3, 1, 8, 8))
+        t = np.array([0, 21, sched.T - 1])
+        for image, step in zip(x, t.tolist()):
+            assert loaded(image, step).tobytes() == den(image, step).tobytes()
+        flat = x.reshape(3, -1)
+        assert loaded.predict_batch(flat, t).tobytes() == den.predict_batch(flat, t).tobytes()
 
 
 class TestGradients:
@@ -480,7 +549,7 @@ class TestTraining:
         config = TrainingConfig(epochs=3, batch_size=2, learning_rate=0.0, seed=2)
         den, _ = train_toy_denoiser(images, config, sched, hidden_sizes=(16,), emb_dim=8)
         fresh = ToyDenoiser.initialize((1, 8, 8), (16,), 8, sched.T, seed=config.seed)
-        expected = fresh.astype(np.float32).astype(np.float64)
+        expected = fresh.astype(np.float32)
         assert den.params.tobytes() == expected.params.tobytes()
 
     def test_training_is_reproducible(self, sched):
@@ -519,8 +588,7 @@ class TestTraining:
         images = smooth_images(3, 8, seed=17)
         config = TrainingConfig(epochs=4, batch_size=2, learning_rate=0.05, seed=8)
         den, _ = train_toy_denoiser(images, config, sched, hidden_sizes=(16,), emb_dim=8)
-        assert den.params.dtype == np.float64
-        assert np.array_equal(den.params, den.params.astype(np.float32).astype(np.float64))
+        assert den.params.dtype == np.float32
         save_denoiser(den, tmp_path / "model.fmia")
         assert load_denoiser(tmp_path / "model.fmia").params.tobytes() == den.params.tobytes()
 
@@ -689,12 +757,66 @@ class TestTrainingThreads:
         assert digests["1"] == digests["2"] == digests[None]
 
 
+class TestOneThreadHolders:
+    def test_interleaved_holders_run_on_one_thread_and_the_last_restores_the_count(
+            self, caller_blas_threads):
+        # A enters, B enters, A exits, B exits, each holder on its own thread
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def holder_a():
+            with _blas.one_thread():
+                a_in.set()
+                assert b_in.wait(10)
+                seen["both"] = _blas.thread_count()
+            a_out.set()
+
+        def holder_b():
+            assert a_in.wait(10)
+            with _blas.one_thread():
+                b_in.set()
+                assert a_out.wait(10)
+                seen["after A"] = _blas.thread_count()
+
+        threads = [threading.Thread(target=holder_a), threading.Thread(target=holder_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert seen == {"both": 1, "after A": 1}
+        assert _blas.thread_count() == caller_blas_threads
+
+    def test_many_holders_entering_and_leaving_at_once(self, caller_blas_threads):
+        seen = set()
+
+        def holder():
+            for _ in range(200):
+                with _blas.one_thread():
+                    seen.add(_blas.thread_count())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=holder) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == {1}
+        assert _blas.thread_count() == caller_blas_threads
+
+
 class TestSerialization:
     def test_round_trip_preserves_predictions(self, sched, tmp_path):
-        den = ToyDenoiser.initialize((1, 8, 8), (32, 16), 8, sched.T, seed=8)
+        den = ToyDenoiser.initialize((1, 8, 8), (32, 16), 8, sched.T, seed=8).astype(np.float32)
         path = tmp_path / "model.fmia"
         save_denoiser(den, path)
         loaded = load_denoiser(path)
+        assert loaded.params.dtype == np.float32
         assert loaded.T == den.T
         assert loaded.image_shape == den.image_shape
         assert loaded.emb_dim == den.emb_dim
@@ -737,6 +859,22 @@ class TestSerialization:
         save_denoiser(den, path)
         with pytest.raises(IngestionError, match=f"model.fmia: parameter {first}"):
             load_denoiser(path)
+
+    @pytest.mark.parametrize("value, shown", [
+        (0.1, "0.1"),          # between two float32 values
+        (1e-50, "1e-50"),      # below float32's smallest subnormal
+        (1e39, "1e\\+39"),     # beyond float32's range
+        (-3.5e38, "-3.5e\\+38"),
+    ], ids=["inexact", "underflow", "out_of_range", "out_of_range_negative"])
+    def test_value_float32_does_not_hold_rejected(self, sched, tmp_path, value, shown):
+        den = ToyDenoiser.initialize((1, 4, 4), (10,), 4, sched.T, seed=8).astype(np.float32)
+        params = den.params.astype(np.float64)
+        params[[5, 300]] = value
+        save_denoiser(ToyDenoiser(params, den.layer_sizes, den.image_shape, den.emb_dim, den.T),
+                      tmp_path / "model.fmia")
+        with pytest.raises(IngestionError,
+                           match=f"model.fmia: parameter 5 is not a float32 value \\({shown}\\)"):
+            load_denoiser(tmp_path / "model.fmia")
 
     def test_too_few_layer_sizes_rejected(self, tmp_path):
         path = tmp_path / "one_layer.fmia"

@@ -563,13 +563,16 @@ def row_pair(sample, config, denoiser, sched):
 
 
 def row_run_attack(samples, config, denoiser, sched, monkeypatch, hf_boundary_radius=2.0):
-    """Score one sample at a time, each DDIM step checking its timesteps."""
+    """Score one sample at a time, each DDIM step checking its timesteps
+    and each pair checked for a non-finite value before it is scored."""
     config.validate_for_schedule(sched)
     records = []
     with monkeypatch.context() as patch:
         patch.setattr(diffusion, "_ddim_step", checked_ddim_step)
         for sample in samples:
             pair = row_pair(sample, config, denoiser, sched)
+            if not (np.isfinite(pair.predicted).all() and np.isfinite(pair.target).all()):
+                raise ContractViolation(f"the pair of sample {sample.sample_id!r} is non-finite")
             raw = row_paradigm_score(pair, config.q, None)
             filtered = row_paradigm_score(pair, config.q, config.filter)
             hf = high_frequency_content(sample.image, hf_boundary_radius)
@@ -640,19 +643,30 @@ class TestStackedScoring:
                                                    calls_per_sample):
         den = ToyDenoiser.initialize((1, 6, 6), (16,), 8, SCORE_T, seed=5)
         samples = score_samples((1, 6, 6), 100)
-        calls = []
-
-        def denoiser(x, t):
-            # NaN from call 70 * calls_per_sample + 1: the first call for
-            # sample 70 one sample at a time, a call inside the second chunk
-            # when a chunk steps in lockstep
-            calls.append(t)
-            eps = den(x, t)
-            return np.full_like(eps, np.nan) if len(calls) == 70 * calls_per_sample + 1 else eps
-
         config = AttackConfig(kind=kind, t_attack=10, stride=5, seed=3,
                               filter=FilterSpec(s=0.2, r_t=1.5))
-        with pytest.raises(ContractViolation, match="non-finite") as got:
+        calls = []
+
+        def recording(x, t):
+            calls.append((np.asarray(x).tobytes(), t))
+            return den(x, t)
+
+        row_run_attack(samples, config, recording, score_sched, monkeypatch)
+        first_call_of_sample_70 = calls[70 * calls_per_sample]
+        calls.clear()
+
+        def denoiser(x, t):
+            # NaN for the first call of sample 70: call 70 * calls_per_sample
+            # + 1 one sample at a time, a call inside the second chunk when a
+            # chunk steps in lockstep; a stacked input row has the bits of
+            # the same row scored alone
+            calls.append(t)
+            eps = den(x, t)
+            poisoned = (np.asarray(x).tobytes(), t) == first_call_of_sample_70
+            return np.full_like(eps, np.nan) if poisoned else eps
+
+        with pytest.raises(ContractViolation,
+                           match="the pair of sample 's70' is non-finite") as got:
             run_attack(samples, config, denoiser, score_sched)
         assert len(calls) == 100 * calls_per_sample  # the chunk's pairs were built first
         calls.clear()
